@@ -5,12 +5,11 @@
 // --preset synthetic:<n>` emits).
 //
 // Two tables go into the TMARK_BENCH_JSON dump (and stdout):
-//   * "scaling curve"  — per (n, threads, dispatch) fit wall time and
-//     ms/iter, with the LLC-sharded merged-view dispatch against the fixed
-//     chunk-grid baseline (tensor/sharding.h). Both dispatches are
-//     bit-identical, so iteration counts match and ms/iter is directly
-//     comparable; scripts/check_scaling_bench.py gates sharded <= slack x
-//     fixed.
+//   * "scaling curve"  — per (n, threads) fit wall time and ms/iter of the
+//     merged-view contractions on their fixed row-chunk grid, with the
+//     host's core count beside the thread count. Fits are bit-identical
+//     across thread counts, so iteration counts match within each n;
+//     scripts/check_scaling_bench.py checks that.
 //   * "scaling memory" — compact (adaptive 32-bit) vs forced-wide (64-bit)
 //     structure bytes for the CSR slices and the merged view, from the
 //     analytic byte accounting (StructureBytes / MergedViewStorageBytes).
@@ -28,6 +27,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/common.h"
@@ -38,7 +38,6 @@
 #include "tmark/datasets/synthetic_hin.h"
 #include "tmark/la/index_array.h"
 #include "tmark/obs/mem.h"
-#include "tmark/tensor/sharding.h"
 #include "tmark/tensor/transition_tensors.h"
 
 namespace {
@@ -70,7 +69,6 @@ std::string MiB(std::size_t bytes) {
 struct KnobGuard {
   ~KnobGuard() {
     parallel::SetNumThreads(0);
-    tensor::SetMergedShardingEnabled(true);
     la::SetForceWideIndexArrays(false);
   }
 };
@@ -80,7 +78,6 @@ struct StructureBytesReport {
   std::size_t csr_bytes = 0;
   std::size_t merged_bytes = 0;
   std::size_t merged_index_bits = 0;
-  std::size_t shards = 0;
 };
 
 StructureBytesReport MeasureStructures(const hin::Hin& hin) {
@@ -96,7 +93,6 @@ StructureBytesReport MeasureStructures(const hin::Hin& hin) {
     report.merged_bytes += t->MergedViewStorageBytes();
     report.merged_index_bits =
         std::max(report.merged_index_bits, t->MergedViewIndexBits());
-    report.shards += t->MergedShardCount();
   }
   return report;
 }
@@ -108,15 +104,17 @@ void RunScalingStudy() {
   const std::vector<std::size_t> thread_counts =
       EnvSizeList("TMARK_SCALING_THREADS", {1, 4});
 
+  const std::string host_cores =
+      std::to_string(std::thread::hardware_concurrency());
   std::vector<std::string> curve_headers = {
-      "n",      "threads",     "dispatch",    "shards",
-      "fit_ms", "iterations",  "ms_per_iter", "peak_rss_mb"};
+      "n",          "threads",     "host_cores", "fit_ms",
+      "iterations", "ms_per_iter", "peak_rss_mb"};
   std::vector<std::vector<std::string>> curve_rows;
   std::vector<std::string> mem_headers = {
       "n",     "nnz",
       "csr_compact_bytes",    "csr_wide_bytes",
       "merged_compact_bytes", "merged_wide_bytes",
-      "merged_index_bits",    "shards"};
+      "merged_index_bits"};
   std::vector<std::vector<std::string>> mem_rows;
 
   for (const std::size_t n : sizes) {
@@ -141,13 +139,11 @@ void RunScalingStudy() {
                         std::to_string(wide.csr_bytes),
                         std::to_string(compact.merged_bytes),
                         std::to_string(wide.merged_bytes),
-                        std::to_string(compact.merged_index_bits),
-                        std::to_string(compact.shards)});
+                        std::to_string(compact.merged_index_bits)});
 
     // Timing: prebuilt operators, fixed 8-iteration chains (epsilon below
-    // any reachable residual) so every (dispatch, threads) cell runs the
-    // identical workload — the dispatches are bit-identical anyway, but the
-    // cap also keeps the million-node cells affordable.
+    // any reachable residual) so every thread count runs the identical
+    // workload; the cap also keeps the million-node cells affordable.
     const core::PreparedOperators ops =
         core::PreparedOperators::Build(hin, hin::SimilarityKernel::kCosine);
     core::TMarkConfig config;
@@ -155,30 +151,22 @@ void RunScalingStudy() {
     config.epsilon = 1e-300;
     for (const std::size_t threads : thread_counts) {
       parallel::SetNumThreads(threads);
-      for (const bool sharded : {true, false}) {
-        tensor::SetMergedShardingEnabled(sharded);
-        std::size_t iterations = 0;
-        const bench::BenchTimer::Timing timing =
-            bench::BenchTimer::Time([&] {
-              core::TMarkClassifier clf(config);
-              clf.Fit(hin, ops, labeled);
-              iterations = 0;
-              for (const core::ConvergenceTrace& t : clf.Traces()) {
-                iterations += t.residuals.size();
-              }
-              benchmark::DoNotOptimize(clf.Confidences());
-            });
-        const auto rss = obs::ReadPeakRssBytes();
-        curve_rows.push_back(
-            {std::to_string(n), std::to_string(threads),
-             sharded ? "sharded" : "fixed",
-             std::to_string(sharded ? compact.shards : 0),
-             FormatDouble(timing.min_ms, 2), std::to_string(iterations),
-             FormatDouble(timing.min_ms / static_cast<double>(iterations),
-                          5),
-             rss.ok() ? MiB(*rss) : "n/a"});
-      }
-      tensor::SetMergedShardingEnabled(true);
+      std::size_t iterations = 0;
+      const bench::BenchTimer::Timing timing = bench::BenchTimer::Time([&] {
+        core::TMarkClassifier clf(config);
+        clf.Fit(hin, ops, labeled);
+        iterations = 0;
+        for (const core::ConvergenceTrace& t : clf.Traces()) {
+          iterations += t.residuals.size();
+        }
+        benchmark::DoNotOptimize(clf.Confidences());
+      });
+      const auto rss = obs::ReadPeakRssBytes();
+      curve_rows.push_back(
+          {std::to_string(n), std::to_string(threads), host_cores,
+           FormatDouble(timing.min_ms, 2), std::to_string(iterations),
+           FormatDouble(timing.min_ms / static_cast<double>(iterations), 5),
+           rss.ok() ? MiB(*rss) : "n/a"});
     }
   }
 

@@ -13,9 +13,8 @@ well-formed document, 1 (with a message on stderr) otherwise. The optional
 series whose name starts with PREFIX / a histogram with at least one
 observation named NAME / a gauge named NAME — the ctest wiring uses them to
 pin the fit telemetry end-to-end. --require-positive-gauge further demands
-value > 0; the memory/shard gauges (mem.peak_rss_bytes,
-tensor.merged.bytes, tensor.merged.shards) use it, since a zero there means
-the instrumentation silently broke.
+value > 0; the memory gauges (mem.peak_rss_bytes, tensor.merged.bytes) use
+it, since a zero there means the instrumentation silently broke.
 """
 
 import argparse

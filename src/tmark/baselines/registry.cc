@@ -17,23 +17,22 @@ namespace tmark::baselines {
 
 std::unique_ptr<hin::CollectiveClassifier> MakeClassifier(
     const std::string& name, double alpha, double gamma, double lambda,
-    core::FitMode fit_mode, bool fp32_panels) {
+    core::FitMode fit_mode) {
   std::unique_ptr<hin::CollectiveClassifier> clf =
-      TryMakeClassifier(name, alpha, gamma, lambda, fit_mode, fp32_panels);
+      TryMakeClassifier(name, alpha, gamma, lambda, fit_mode);
   TMARK_CHECK_MSG(clf != nullptr, "unknown classifier name: " << name);
   return clf;
 }
 
 std::unique_ptr<hin::CollectiveClassifier> TryMakeClassifier(
     const std::string& name, double alpha, double gamma, double lambda,
-    core::FitMode fit_mode, bool fp32_panels) {
+    core::FitMode fit_mode) {
   if (name == "T-Mark") {
     core::TMarkConfig config;
     config.alpha = alpha;
     config.gamma = gamma;
     config.lambda = lambda;
     config.fit_mode = fit_mode;
-    config.fp32_panels = fp32_panels;
     return std::make_unique<core::TMarkClassifier>(config);
   }
   if (name == "TensorRrCc") {
@@ -41,7 +40,6 @@ std::unique_ptr<hin::CollectiveClassifier> TryMakeClassifier(
     config.alpha = alpha;
     config.gamma = gamma;
     config.fit_mode = fit_mode;
-    config.fp32_panels = fp32_panels;
     return std::make_unique<core::TensorRrCcClassifier>(config);
   }
   if (name == "GI") return std::make_unique<GraphInceptionClassifier>();

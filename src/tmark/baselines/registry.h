@@ -23,19 +23,16 @@ namespace tmark::baselines {
 /// the ICA acceptance threshold — like alpha it is tuned per dataset
 /// (lambda -> 1 disables acceptance, recovering TensorRrCc behaviour).
 /// `fit_mode` selects the T-Mark fit engine (both are bit-identical —
-/// docs/PERFORMANCE.md); `fp32_panels` opts the batched engine into fp32
-/// panel storage (core/tmark.h). Both are ignored by the baselines.
+/// docs/PERFORMANCE.md); the baselines ignore it.
 std::unique_ptr<hin::CollectiveClassifier> MakeClassifier(
     const std::string& name, double alpha = 0.8, double gamma = 0.6,
-    double lambda = 0.7, core::FitMode fit_mode = core::FitMode::kBatched,
-    bool fp32_panels = false);
+    double lambda = 0.7, core::FitMode fit_mode = core::FitMode::kBatched);
 
 /// Non-throwing variant for untrusted method names (CLI flags, request
 /// parameters): returns nullptr on an unknown name instead of throwing.
 std::unique_ptr<hin::CollectiveClassifier> TryMakeClassifier(
     const std::string& name, double alpha = 0.8, double gamma = 0.6,
-    double lambda = 0.7, core::FitMode fit_mode = core::FitMode::kBatched,
-    bool fp32_panels = false);
+    double lambda = 0.7, core::FitMode fit_mode = core::FitMode::kBatched);
 
 /// The paper's method column order (Tables 3, 4, 11).
 std::vector<std::string> PaperMethodNames();

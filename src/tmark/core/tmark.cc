@@ -10,7 +10,6 @@
 #include "tmark/hin/hin_delta.h"
 #include "tmark/hin/label_vector.h"
 #include "tmark/la/panel.h"
-#include "tmark/la/panel_f32.h"
 #include "tmark/obs/metrics.h"
 #include "tmark/obs/trace.h"
 #include "tmark/parallel/parallel_for.h"
@@ -481,8 +480,6 @@ void TMarkClassifier::FitBatched(const hin::Hin& hin,
   la::DenseMatrix x_next(n, q);
   la::DenseMatrix z_next(m, q);
   la::DenseMatrix wx_panel(n, q);
-  la::PanelF32 x_f32;
-  if (config_.fp32_panels) x_f32.Resize(n, q);
   // Retired classes (retirement hints, FitInternal) never occupy a slot:
   // the panel starts at the width of the still-active classes. Slot s
   // carries class cls[s]; without hints this is the identity layout.
@@ -538,15 +535,7 @@ void TMarkClassifier::FitBatched(const hin::Hin& hin,
     }
     {
       obs::ScopedTimer phase("tmark.fit.phase.tensor_product_ms", metrics);
-      if (config_.fp32_panels) {
-        // Refresh the fp32 mirror from the authoritative fp64 panel (the
-        // compaction moves above only touch the fp64 panel, so the mirror
-        // is rebuilt for the current column layout) and gather from it.
-        la::DemoteLeadingColumns(x_panel, width, &x_f32);
-        tensors.ApplyOPanelF32(x_f32, z_panel, width, &x_next, &ws);
-      } else {
-        tensors.ApplyOPanel(x_panel, z_panel, width, &x_next, &ws);
-      }
+      tensors.ApplyOPanel(x_panel, z_panel, width, &x_next, &ws);
     }
     {
       obs::ScopedTimer phase("tmark.fit.phase.feature_walk_ms", metrics);

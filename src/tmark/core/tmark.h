@@ -70,15 +70,6 @@ struct TMarkConfig {
   /// each sparse operator once per iteration for all classes and is the
   /// default. Engine choice, not model state — never serialized.
   FitMode fit_mode = FitMode::kBatched;
-  /// Opt-in fp32 panel storage for the batched tensor product: the x panel
-  /// is mirrored to float each iteration and the gather kernels read the
-  /// mirror, halving the random-read traffic of the dominant kernel while
-  /// accumulating in fp64. Trades the bit-identity guarantee for bandwidth —
-  /// results differ from the fp64 path by at most the documented error
-  /// bound (docs/PERFORMANCE.md "Scaling"; pinned by
-  /// tests/parallel/fp32_fit_test.cc). Ignored by the per-class engine.
-  /// Engine choice, not model state — never serialized.
-  bool fp32_panels = false;
 
   /// The feature-walk weight beta = gamma * (1 - alpha) (Sec. 4.4).
   double beta() const { return gamma * (1.0 - alpha); }
@@ -171,7 +162,7 @@ class TMarkClassifier : public hin::CollectiveClassifier {
   /// never enters the iteration loop ("update.hinted_classes").
   /// On a validation error the network, operators, and model state are all
   /// unchanged. The end-to-end path is timed as "update.total_ms"; the
-  /// operator patch records "update.{edges,rows_touched,reshards}".
+  /// operator patch records "update.{edges,rows_touched}".
   Status Update(hin::Hin* hin, const hin::HinDelta& delta,
                 const std::vector<std::size_t>& labeled);
 

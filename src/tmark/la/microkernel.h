@@ -97,39 +97,6 @@ struct AddOp {
   }
 };
 
-// f32-input variants of the gather ops: sources are float (the opt-in fp32
-// panel-storage mode halves gather traffic), accumulation stays double. The
-// widening converts exactly (every float is a double), so the only rounding
-// relative to the fp64 path is the one demotion applied when the panel was
-// stored — bounded per gather by |x| * 2^-24, the bound the fp32-mode test
-// checks end to end.
-
-struct AxpyF32Op {
-  template <std::size_t W>
-  static void Run(std::size_t c, double* d, double a, const float* s) {
-    TMARK_SIMD
-    for (std::size_t i = 0; i < W; ++i) {
-      d[c + i] += a * static_cast<double>(s[c + i]);
-    }
-  }
-};
-
-struct AddF32Op {
-  template <std::size_t W>
-  static void Run(std::size_t c, double* d, const float* s) {
-    TMARK_SIMD
-    for (std::size_t i = 0; i < W; ++i) d[c + i] += static_cast<double>(s[c + i]);
-  }
-};
-
-struct DemoteOp {
-  template <std::size_t W>
-  static void Run(std::size_t c, float* d, const double* s) {
-    TMARK_SIMD
-    for (std::size_t i = 0; i < W; ++i) d[c + i] = static_cast<float>(s[c + i]);
-  }
-};
-
 struct MulOp {
   template <std::size_t W>
   static void Run(std::size_t c, double* d, const double* s) {
@@ -222,23 +189,6 @@ inline void Axpy(double* d, double a, const double* s, std::size_t width) {
 /// d[c] += s[c] — ordered per-chunk partial merges, dangling spreads.
 inline void Add(double* d, const double* s, std::size_t width) {
   detail::Dispatch<detail::AddOp>(width, d, s);
-}
-
-/// d[c] += a * s[c] with a float source, accumulated in double — the fp32
-/// panel-storage gather (overload keeps the shared kernel templates width-
-/// agnostic).
-inline void Axpy(double* d, double a, const float* s, std::size_t width) {
-  detail::Dispatch<detail::AxpyF32Op>(width, d, a, s);
-}
-
-/// d[c] += s[c] with a float source, accumulated in double.
-inline void Add(double* d, const float* s, std::size_t width) {
-  detail::Dispatch<detail::AddF32Op>(width, d, s);
-}
-
-/// d[c] = (float)s[c] — the per-iteration fp32 panel mirror refresh.
-inline void Demote(float* d, const double* s, std::size_t width) {
-  detail::Dispatch<detail::DemoteOp>(width, d, s);
 }
 
 /// d[c] *= s[c] — the per-column normalization apply.

@@ -43,8 +43,13 @@ std::string_view ToString(RequestKind kind) {
 }
 
 Status WriteFrame(std::ostream& out, std::string_view payload) {
-  out << payload.size() << '\n';
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  // The whole frame goes to the stream in one write: over an unbuffered
+  // socket stream, a separate write for the length prefix lets Nagle's
+  // algorithm hold the payload behind the peer's delayed ACK.
+  std::string frame = std::to_string(payload.size());
+  frame += '\n';
+  frame += payload;
+  out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
   out.flush();
   if (!out.good()) {
     return DataLossError("stream rejected a " +

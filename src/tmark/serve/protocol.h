@@ -97,8 +97,8 @@ struct Response {
   std::vector<ScoredEntry> entries;
 };
 
-/// Writes one frame around `payload`. Returns kDataLoss when the stream
-/// rejects bytes.
+/// Writes one frame around `payload` in a single stream write. Returns
+/// kDataLoss when the stream rejects bytes.
 Status WriteFrame(std::ostream& out, std::string_view payload);
 
 /// Reads one frame into `payload`. Returns false on clean end-of-stream at

@@ -4,8 +4,10 @@
 #include <sys/un.h>
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <istream>
@@ -22,7 +24,9 @@ namespace {
 
 /// Minimal streambuf over a connection fd so the istream/ostream-based
 /// protocol functions (ReadFrame/WriteFrame) work on sockets unchanged.
-/// Unbuffered writes, small read buffer; not seekable.
+/// Unbuffered writes, small read buffer; not seekable. Writes use
+/// MSG_NOSIGNAL: a client that hangs up before its reply must cost only
+/// its own connection (EPIPE), not raise SIGPIPE in the whole process.
 class FdStreambuf : public std::streambuf {
  public:
   explicit FdStreambuf(int fd) : fd_(fd) {
@@ -57,7 +61,8 @@ class FdStreambuf : public std::streambuf {
   bool WriteAll(const char* data, std::size_t count) {
     std::size_t written = 0;
     while (written < count) {
-      const ssize_t n = ::write(fd_, data + written, count - written);
+      const ssize_t n =
+          ::send(fd_, data + written, count - written, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
         return false;
@@ -140,8 +145,9 @@ Status SocketServer::Start() {
     ::close(fd);
     return InternalError(std::string("listen(): ") + std::strerror(err));
   }
+  // stopping_ is left as is: a stop requested before Start (say, by a
+  // signal handler installed early) makes the acceptor exit at once.
   listen_fd_.store(fd, std::memory_order_release);
-  stopping_.store(false, std::memory_order_release);
   acceptor_ = std::thread([this] { AcceptLoop(); });
   obs::LogInfo("serve.listening",
                {{"endpoint", options_.unix_socket.empty()
@@ -167,6 +173,9 @@ void SocketServer::Stop() {
   std::vector<std::thread> connections;
   {
     std::lock_guard<std::mutex> lock(connections_mu_);
+    // Connection threads parked in ReadFrame see end-of-stream once their
+    // read side is shut down; a reply being written still goes out.
+    for (const int fd : live_fds_) ::shutdown(fd, SHUT_RD);
     connections.swap(connections_);
   }
   for (std::thread& connection : connections) {
@@ -194,7 +203,12 @@ void SocketServer::AcceptLoop() {
       ::close(conn);
       break;
     }
+    if (options_.unix_socket.empty()) {
+      const int one = 1;
+      ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    }
     std::lock_guard<std::mutex> lock(connections_mu_);
+    live_fds_.push_back(conn);
     connections_.emplace_back([this, conn] { ServeConnection(conn); });
   }
 }
@@ -233,6 +247,11 @@ void SocketServer::ServeConnection(int fd) {
       RequestStop();
       break;
     }
+  }
+  {
+    // Deregister before closing, so Stop never shuts down a reused fd.
+    std::lock_guard<std::mutex> lock(connections_mu_);
+    live_fds_.erase(std::find(live_fds_.begin(), live_fds_.end(), fd));
   }
   ::close(fd);
 }

@@ -41,7 +41,8 @@ struct ServerOptions {
 
 /// Blocking accept loop over a ServingDaemon. Start() binds and spawns the
 /// acceptor; Stop() (or reaching max_requests) shuts it down and joins
-/// every connection thread.
+/// every connection thread. Accepted TCP connections set TCP_NODELAY, and
+/// every reply frame leaves in one write.
 class SocketServer {
  public:
   SocketServer(ServingDaemon* daemon, ServerOptions options);
@@ -51,16 +52,19 @@ class SocketServer {
   SocketServer& operator=(const SocketServer&) = delete;
 
   /// Binds + listens + spawns the acceptor thread. Typed errors for an
-  /// unusable socket path/port.
+  /// unusable socket path/port. A stop requested before Start is kept: the
+  /// acceptor then exits at once and Wait() returns.
   Status Start();
 
-  /// Closes the listener, joins the acceptor and all connections.
-  /// Idempotent; safe from a signal-triggered path via RequestStop.
+  /// Closes the listener, joins the acceptor, shuts down the read side of
+  /// every live connection (so idle clients cannot hold it open) and joins
+  /// all connection threads. Idempotent; safe from a signal-triggered path
+  /// via RequestStop.
   void Stop();
 
   /// Async-signal-safe stop request: flips the shutdown flag and closes
-  /// the listening socket so the acceptor unblocks. Call Stop() (from a
-  /// normal context) afterwards to join.
+  /// the listening socket so the acceptor unblocks. May come before
+  /// Start. Call Stop() (from a normal context) afterwards to join.
   void RequestStop();
 
   /// Blocks until the server stopped (max_requests reached or Stop).
@@ -81,7 +85,9 @@ class SocketServer {
   int port_ = 0;
   std::thread acceptor_;
   std::vector<std::thread> connections_;
-  std::mutex connections_mu_;
+  /// Fds of connections whose thread has not closed them yet.
+  std::vector<int> live_fds_;
+  std::mutex connections_mu_;  ///< Guards connections_ and live_fds_.
 };
 
 }  // namespace tmark::serve

@@ -7,7 +7,6 @@
 #include "tmark/la/microkernel.h"
 #include "tmark/obs/prof.h"
 #include "tmark/parallel/parallel_for.h"
-#include "tmark/tensor/sharding.h"
 
 namespace tmark::tensor {
 namespace {
@@ -15,10 +14,6 @@ namespace {
 // Row grain for the mode-1 contraction; small inputs collapse to a single
 // chunk and run the exact serial loop on the calling thread.
 constexpr std::size_t kContractRowGrain = 512;
-
-// Bytes of structure streamed per merged-view entry (col + val).
-constexpr std::size_t kEntryStreamBytes =
-    sizeof(std::uint32_t) + sizeof(double);
 
 }  // namespace
 
@@ -75,157 +70,6 @@ la::SparseMatrix& SparseTensor3::MutableSlice(std::size_t k) {
   return slices_[k];
 }
 
-namespace {
-
-// Streamed structure bytes of one merged-view row: its row_ptr slot, the
-// seg_k/seg_end pair per segment, and the col/val pair per entry.
-struct RowBytes {
-  std::size_t row_fixed;
-  std::size_t per_segment;
-
-  explicit RowBytes(const SparseTensor3::MergedView& mv)
-      : row_fixed(mv.row_ptr.index_bits() / 8),
-        per_segment(sizeof(std::uint32_t) + mv.seg_end.index_bits() / 8) {}
-
-  std::size_t operator()(const SparseTensor3::MergedView& mv,
-                         std::size_t i) const {
-    const std::size_t seg_begin = mv.row_ptr[i];
-    const std::size_t seg_end = mv.row_ptr[i + 1];
-    const std::size_t entry_begin =
-        seg_begin == 0 ? 0 : mv.seg_end[seg_begin - 1];
-    const std::size_t entry_end =
-        seg_end == 0 ? 0 : mv.seg_end[seg_end - 1];
-    return row_fixed + (seg_end - seg_begin) * per_segment +
-           (entry_end - entry_begin) * kEntryStreamBytes;
-  }
-};
-
-// Builds both shard plans against the currently resolved budget. Boundaries
-// depend only on the structure and the budget — never on the thread count —
-// and neither plan changes any accumulation grouping, so every plan yields
-// bit-identical results (mode-1 rows are disjoint; mode-3 shards group whole
-// fixed reduce chunks and partials still merge in global chunk order).
-void BuildShardPlan(std::size_t n, SparseTensor3::MergedView* mv) {
-  const RowBytes row_bytes(*mv);
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) total += row_bytes(*mv, i);
-  mv->shard_budget_bytes = MergedShardBudgetBytes();
-  // Backstop: raise the effective budget until the plan fits kMaxMergedShards
-  // (a degenerate budget must not explode the task count).
-  const std::size_t budget =
-      EffectiveMergedShardBudget(mv->shard_budget_bytes, total);
-
-  // Mode-1: contiguous row blocks, each streaming <= budget structure bytes
-  // (single oversized rows get a shard of their own).
-  mv->shard_rows.clear();
-  if (n > 0) {
-    mv->shard_rows.push_back(0);
-    std::size_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t cost = row_bytes(*mv, i);
-      if (acc > 0 && acc + cost > budget) {
-        mv->shard_rows.push_back(i);
-        acc = 0;
-      }
-      acc += cost;
-    }
-    mv->shard_rows.push_back(n);
-  }
-
-  // Mode-3: group whole consecutive fixed reduce chunks. The chunk grid
-  // (NumFixedChunks at kBilinearReduceGrain) is the bit-identity contract's
-  // accumulation layout and must not depend on the budget; only the grouping
-  // into pool tasks does.
-  mv->reduce_chunk_bounds.clear();
-  const std::size_t chunks =
-      parallel::NumFixedChunks(n, la::SparseMatrix::kBilinearReduceGrain);
-  if (chunks > 1) {
-    const std::size_t base = n / chunks;
-    const std::size_t extra = n % chunks;
-    mv->reduce_chunk_bounds.push_back(0);
-    std::size_t acc = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t begin = c * base + (c < extra ? c : extra);
-      const std::size_t end = begin + base + (c < extra ? 1 : 0);
-      std::size_t cost = 0;
-      for (std::size_t i = begin; i < end; ++i) cost += row_bytes(*mv, i);
-      if (acc > 0 && acc + cost > budget) {
-        mv->reduce_chunk_bounds.push_back(c);
-        acc = 0;
-      }
-      acc += cost;
-    }
-    mv->reduce_chunk_bounds.push_back(chunks);
-  }
-}
-
-// Shared mode-1 traversal + dispatch, templated on the x panel type so the
-// fp64 path (DenseMatrix) and the fp32 panel-storage path (PanelF32) run the
-// identical structure walk — only the mk::Axpy overload the gather resolves
-// to differs.
-//
-// Dispatch: the LLC shard plan (tensor/sharding.h) assigns one contiguous
-// row block per pool task so each task streams at most ~budget structure
-// bytes, keeping the gathered x-panel rows cache-resident. With one shard
-// (or sharding disabled) this falls back to the pre-shard fixed-chunk
-// dispatch. Either way output rows are disjoint, so every plan, budget, and
-// thread count produces bit-identical output.
-template <typename XPanel>
-void Mode1PanelDispatch(const SparseTensor3::MergedView& mv, std::size_t m,
-                        const XPanel& x, const la::DenseMatrix& z,
-                        std::size_t width, la::DenseMatrix* y,
-                        la::PanelWorkspace* ws) {
-  const std::size_t n = x.rows();
-  la::Vector& z_live = ws->Buffer(0, m);
-  for (std::size_t k = 0; k < m; ++k) {
-    z_live[k] = la::mk::AnyNonZero(z.RowPtr(k), width) ? 1.0 : 0.0;
-  }
-  auto process_rows = [&](std::size_t begin, std::size_t end, double* acc) {
-    for (std::size_t i = begin; i < end; ++i) {
-      double* yrow = y->RowPtr(i);
-      la::mk::Zero(yrow, width);
-      std::size_t entry = mv.row_ptr[i] == 0 ? 0
-                                             : mv.seg_end[mv.row_ptr[i] - 1];
-      for (std::size_t s = mv.row_ptr[i]; s < mv.row_ptr[i + 1]; ++s) {
-        const std::size_t seg_end = mv.seg_end[s];
-        const std::uint32_t k = mv.seg_k[s];
-        if (z_live[k] == 0.0) {
-          entry = seg_end;
-          continue;
-        }
-        la::mk::Zero(acc, width);
-        for (; entry < seg_end; ++entry) {
-          la::mk::Axpy(acc, mv.val[entry], x.RowPtr(mv.col[entry]), width);
-        }
-        la::mk::MulAdd(yrow, z.RowPtr(k), acc, width);
-      }
-    }
-  };
-  const std::size_t shards =
-      mv.shard_rows.size() >= 2 ? mv.shard_rows.size() - 1 : 0;
-  if (MergedShardingEnabled() && shards > 1) {
-    ws->PrepareChunks(shards, width);
-    parallel::ParallelBoundedRanges(
-        mv.shard_rows,
-        [&](std::size_t shard, std::size_t begin, std::size_t end) {
-          process_rows(begin, end, ws->Chunk(shard).data());
-        });
-    return;
-  }
-  const std::size_t grain =
-      width > 0 ? std::max<std::size_t>(64, kContractRowGrain / width)
-                : kContractRowGrain;
-  const std::size_t chunks = parallel::NumFixedChunks(n, grain);
-  ws->PrepareChunks(chunks == 0 ? 1 : chunks, width);
-  parallel::ParallelChunks(
-      n, chunks,
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        process_rows(begin, end, ws->Chunk(chunk).data());
-      });
-}
-
-}  // namespace
-
 void SparseTensor3::PrepareMergedView() const {
   if (merged_.built) return;
   std::vector<std::size_t> row_ptr(n_ + 1, 0);
@@ -255,13 +99,7 @@ void SparseTensor3::PrepareMergedView() const {
   // them (32-bit for every realistic input — see la/index_array.h).
   merged_.row_ptr = la::IndexArray::FromOffsets(std::move(row_ptr));
   merged_.seg_end = la::IndexArray::FromOffsets(std::move(seg_end));
-  BuildShardPlan(n_, &merged_);
   merged_.built = true;
-}
-
-void SparseTensor3::ReshardMergedView() const {
-  PrepareMergedView();
-  BuildShardPlan(n_, &merged_);
 }
 
 std::size_t SparseTensor3::MergedViewStorageBytes() const {
@@ -277,18 +115,13 @@ std::size_t SparseTensor3::MergedViewIndexBits() const {
   return std::max(mv.row_ptr.index_bits(), mv.seg_end.index_bits());
 }
 
-std::size_t SparseTensor3::MergedShardCount() const {
-  const MergedView& mv = MergedSlices();
-  return mv.shard_rows.size() >= 2 ? mv.shard_rows.size() - 1 : 0;
-}
-
 const SparseTensor3::MergedView& SparseTensor3::MergedSlices() const {
   PrepareMergedView();
   return merged_;
 }
 
-std::size_t SparseTensor3::ReplaceSlice(std::size_t k, la::SparseMatrix slice,
-                                        bool* resharded) {
+std::size_t SparseTensor3::ReplaceSlice(std::size_t k,
+                                        la::SparseMatrix slice) {
   TMARK_CHECK(k < m_);
   TMARK_CHECK(slice.rows() == n_ && slice.cols() == n_);
   const la::SparseMatrix& old = slices_[k];
@@ -308,12 +141,11 @@ std::size_t SparseTensor3::ReplaceSlice(std::size_t k, la::SparseMatrix slice,
     if (differs) rows.push_back(static_cast<std::uint32_t>(i));
   }
   slices_[k] = std::move(slice);
-  return RefreshMergedRows(std::move(rows), resharded);
+  return RefreshMergedRows(std::move(rows));
 }
 
 std::size_t SparseTensor3::PatchSliceRows(std::size_t k,
-                                          std::vector<la::RowEdit> edits,
-                                          bool* resharded) {
+                                          std::vector<la::RowEdit> edits) {
   TMARK_CHECK(k < m_);
   std::vector<std::uint32_t> rows;
   rows.reserve(edits.size());
@@ -321,7 +153,7 @@ std::size_t SparseTensor3::PatchSliceRows(std::size_t k,
     rows.push_back(static_cast<std::uint32_t>(e.row));
   }
   slices_[k].ApplyRowEdits(std::move(edits));
-  return RefreshMergedRows(std::move(rows), resharded);
+  return RefreshMergedRows(std::move(rows));
 }
 
 std::size_t SparseTensor3::PatchSliceValues(
@@ -373,8 +205,8 @@ std::size_t SparseTensor3::PatchSliceValues(
   return rows_touched;
 }
 
-std::size_t SparseTensor3::RefreshMergedRows(std::vector<std::uint32_t> rows,
-                                             bool* resharded) {
+std::size_t SparseTensor3::RefreshMergedRows(
+    std::vector<std::uint32_t> rows) {
   std::sort(rows.begin(), rows.end());
   rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   if (rows.empty()) return 0;
@@ -525,37 +357,6 @@ std::size_t SparseTensor3::RefreshMergedRows(std::vector<std::uint32_t> rows,
   mv.seg_end = la::IndexArray::FromOffsets(std::move(new_seg_end));
   mv.col = std::move(new_col);
   mv.val = std::move(new_val);
-
-  // Keep the existing shard plan unless a multi-row mode-1 shard now
-  // streams more than the budget the plan was built against (raised to the
-  // kMaxMergedShards floor, as the planner does); then rebuild the plan —
-  // and only the plan.
-  bool need_reshard = n_ > 0 && mv.shard_rows.size() < 2;
-  if (!need_reshard && n_ > 0) {
-    const RowBytes row_bytes(mv);
-    const std::size_t shards = mv.shard_rows.size() - 1;
-    std::vector<std::size_t> shard_cost(shards, 0);
-    std::size_t total = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (std::size_t i = mv.shard_rows[s]; i < mv.shard_rows[s + 1]; ++i) {
-        shard_cost[s] += row_bytes(mv, i);
-      }
-      total += shard_cost[s];
-    }
-    const std::size_t budget =
-        EffectiveMergedShardBudget(mv.shard_budget_bytes, total);
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (mv.shard_rows[s + 1] - mv.shard_rows[s] > 1 &&
-          shard_cost[s] > budget) {
-        need_reshard = true;
-        break;
-      }
-    }
-  }
-  if (need_reshard) {
-    BuildShardPlan(n_, &mv);
-    if (resharded != nullptr) *resharded = true;
-  }
   return rows.size();
 }
 
@@ -689,26 +490,42 @@ void SparseTensor3::ContractMode1Panel(const la::DenseMatrix& x,
   // +0.0 + -0.0 == +0.0 and a + (-a) == +0.0), so adding the +-0.0 term is
   // a bit-level no-op. The merged view turns the m interleaved CSR row
   // probes per row — what the m ~= 20-relation presets are bound by — into
-  // one contiguous stream. Output rows are disjoint so any row partition is
-  // bit-identical.
-  Mode1PanelDispatch(MergedSlices(), m_, x, z, width, y, ws);
-}
-
-void SparseTensor3::ContractMode1PanelF32(const la::PanelF32& x,
-                                          const la::DenseMatrix& z,
-                                          std::size_t width,
-                                          la::DenseMatrix* y,
-                                          la::PanelWorkspace* ws) const {
-  TMARK_PROF_REGION("tensor.contract.mode1_panel_f32");
-  TMARK_CHECK(y != nullptr && ws != nullptr);
-  TMARK_CHECK(x.rows() == n_ && z.rows() == m_ && y->rows() == n_);
-  TMARK_CHECK(x.cols() == y->cols() && z.cols() == x.cols());
-  TMARK_CHECK(width <= x.cols());
-  // Same traversal, dispatch, and shard plan as ContractMode1Panel — only
-  // the gathered x rows are float (widened exactly; accumulation stays
-  // double, see la/panel_f32.h). Not bit-identical to the fp64 path: the
-  // panel elements themselves were demoted when the mirror was refreshed.
-  Mode1PanelDispatch(MergedSlices(), m_, x, z, width, y, ws);
+  // one contiguous stream. Output rows are disjoint, so the fixed row-chunk
+  // grid is bit-identical at any thread count.
+  const MergedView& mv = MergedSlices();
+  la::Vector& z_live = ws->Buffer(0, m_);
+  for (std::size_t k = 0; k < m_; ++k) {
+    z_live[k] = la::mk::AnyNonZero(z.RowPtr(k), width) ? 1.0 : 0.0;
+  }
+  const std::size_t grain =
+      width > 0 ? std::max<std::size_t>(64, kContractRowGrain / width)
+                : kContractRowGrain;
+  const std::size_t chunks = parallel::NumFixedChunks(n_, grain);
+  ws->PrepareChunks(chunks == 0 ? 1 : chunks, width);
+  parallel::ParallelChunks(
+      n_, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+        double* acc = ws->Chunk(chunk).data();
+        for (std::size_t i = begin; i < end; ++i) {
+          double* yrow = y->RowPtr(i);
+          la::mk::Zero(yrow, width);
+          std::size_t entry =
+              mv.row_ptr[i] == 0 ? 0 : mv.seg_end[mv.row_ptr[i] - 1];
+          for (std::size_t s = mv.row_ptr[i]; s < mv.row_ptr[i + 1]; ++s) {
+            const std::size_t seg_end = mv.seg_end[s];
+            const std::uint32_t k = mv.seg_k[s];
+            if (z_live[k] == 0.0) {
+              entry = seg_end;
+              continue;
+            }
+            la::mk::Zero(acc, width);
+            for (; entry < seg_end; ++entry) {
+              la::mk::Axpy(acc, mv.val[entry], x.RowPtr(mv.col[entry]),
+                           width);
+            }
+            la::mk::MulAdd(yrow, z.RowPtr(k), acc, width);
+          }
+        }
+      });
 }
 
 void SparseTensor3::ContractMode3Panel(const la::DenseMatrix& x,
@@ -758,23 +575,6 @@ void SparseTensor3::ContractMode3Panel(const la::DenseMatrix& x,
   ws->PrepareChunks(buffers, m_ * width + width);
   if (chunks <= 1) {
     if (n_ > 0) accumulate(0, n_, ws->Chunk(0).data());
-  } else if (MergedShardingEnabled() && mv.reduce_chunk_bounds.size() > 2) {
-    // LLC-sharded work assignment: each shard walks a run of whole fixed
-    // chunks whose streamed structure fits the budget. Every chunk still
-    // accumulates into its own buffer and the merge below folds partials in
-    // global chunk order, so the grouping — unlike the chunk grid itself —
-    // is free to vary with the budget without touching a single bit.
-    const std::size_t base = n_ / chunks;
-    const std::size_t extra = n_ % chunks;
-    parallel::ParallelBoundedRanges(
-        mv.reduce_chunk_bounds,
-        [&](std::size_t, std::size_t cbegin, std::size_t cend) {
-          for (std::size_t c = cbegin; c < cend; ++c) {
-            const std::size_t begin = c * base + (c < extra ? c : extra);
-            const std::size_t end = begin + base + (c < extra ? 1 : 0);
-            accumulate(begin, end, ws->Chunk(c).data());
-          }
-        });
   } else {
     parallel::ParallelChunks(
         n_, chunks,

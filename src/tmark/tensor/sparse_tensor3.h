@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "tmark/la/panel_f32.h"
 #include "tmark/la/sparse_matrix.h"
 
 namespace tmark::tensor {
@@ -99,14 +98,6 @@ class SparseTensor3 {
                           std::size_t width, la::DenseMatrix* y,
                           la::PanelWorkspace* ws) const;
 
-  /// ContractMode1Panel with fp32 panel storage: gathers float x rows,
-  /// accumulates in double (the opt-in TMarkConfig::fp32_panels mode). Same
-  /// traversal and shard plan as the fp64 kernel; NOT bit-identical to it —
-  /// the panel was demoted when mirrored (error bound in la/panel_f32.h).
-  void ContractMode1PanelF32(const la::PanelF32& x, const la::DenseMatrix& z,
-                             std::size_t width, la::DenseMatrix* y,
-                             la::PanelWorkspace* ws) const;
-
   /// w(k, c) = sum_{i,j} A[i,j,k] * x(i, c) * y(j, c) for c in [0, width).
   /// Requires x, y: n rows, w: m rows. `ws` backs the per-slice bilinear
   /// reduction partials.
@@ -122,13 +113,6 @@ class SparseTensor3 {
   /// (tensor::TransitionTensors::Build does).
   void PrepareMergedView() const;
 
-  /// Recomputes only the shard plan of an already-built merged view against
-  /// the currently resolved budget (tensor/sharding.h) — the structure
-  /// arrays are untouched. The scaling bench uses this to sweep budgets
-  /// without rebuilding operators; results are bit-identical across plans.
-  /// Builds the view first when necessary.
-  void ReshardMergedView() const;
-
   /// Bytes held by the merged view's structure arrays (row_ptr, segments,
   /// col, val). Builds the view when necessary.
   std::size_t MergedViewStorageBytes() const;
@@ -136,12 +120,6 @@ class SparseTensor3 {
   /// Widest offset storage the merged view picked: 32 or 64.
   std::size_t MergedViewIndexBits() const;
 
-  /// Number of contiguous row blocks in the mode-1 shard plan (>= 1 for a
-  /// non-empty tensor).
-  std::size_t MergedShardCount() const;
-
-  // The merged-view type is public so the file-local shard planner can name
-  // it; the instance itself stays private behind MergedSlices().
   // Row-major merge of all slices: for each row i, one segment per relation
   // k that stores entries in that row (segments ascending in k, entries
   // within a segment in the slice's column order). Both panel contractions
@@ -154,14 +132,6 @@ class SparseTensor3 {
   // Offsets live in adaptive-width IndexArrays (32-bit whenever the segment
   // / entry counts permit — la/index_array.h), roughly halving structure
   // bytes at million-node scale.
-  //
-  // The shard plan partitions the view into contiguous row blocks whose
-  // streamed structure fits the LLC budget of tensor/sharding.h. It shapes
-  // work *assignment* only: mode-1 output rows are disjoint (any row
-  // partition is bit-identical) and mode-3 keeps its budget-independent
-  // fixed-chunk accumulation layout, with shards grouping whole consecutive
-  // chunks and the merge folding in global chunk order — so results are
-  // bit-identical across budgets and thread counts.
   struct MergedView {
     la::IndexArray row_ptr;            ///< n + 1 offsets into seg_k/seg_end.
     std::vector<std::uint32_t> seg_k;  ///< Relation index per segment.
@@ -169,14 +139,6 @@ class SparseTensor3 {
                                        ///< (begin = previous segment's end).
     std::vector<std::uint32_t> col;    ///< Column index j per entry.
     std::vector<double> val;           ///< Stored value per entry.
-    /// Mode-1 shard s covers rows [shard_rows[s], shard_rows[s+1]).
-    std::vector<std::size_t> shard_rows;
-    /// Mode-3 shard s covers fixed reduce chunks
-    /// [reduce_chunk_bounds[s], reduce_chunk_bounds[s+1]); empty when the
-    /// reduction collapses to <= 1 chunk.
-    std::vector<std::size_t> reduce_chunk_bounds;
-    /// Budget the current plan was built against (diagnostics).
-    std::size_t shard_budget_bytes = 0;
     bool built = false;
   };
 
@@ -187,39 +149,32 @@ class SparseTensor3 {
   // counts) the col/val spans are overwritten in place; otherwise the
   // structure arrays are gap-copied around the edited rows, with the
   // row_ptr offsets patched through the IndexArray in-place mutators and
-  // seg_end re-assembled at the width a from-scratch build would pick. The
-  // shard plan is kept unless a mode-1 shard's byte budget is now violated
-  // (or the plan is missing), in which case the plan — and only the plan —
-  // is rebuilt and *resharded is set to true (never cleared). Each returns
-  // the number of merged-view rows refreshed. The patched view is
+  // seg_end re-assembled at the width a from-scratch build would pick. Each
+  // returns the number of merged-view rows refreshed. The patched view is
   // byte-identical to PrepareMergedView on the patched slices.
 
   /// Replaces slice k wholesale, refreshing every merged-view row whose
   /// stored bytes differ between the old and new slice.
-  std::size_t ReplaceSlice(std::size_t k, la::SparseMatrix slice,
-                           bool* resharded = nullptr);
+  std::size_t ReplaceSlice(std::size_t k, la::SparseMatrix slice);
 
   /// Applies full-row edits to slice k (la::SparseMatrix::ApplyRowEdits)
   /// and refreshes those merged-view rows.
-  std::size_t PatchSliceRows(std::size_t k, std::vector<la::RowEdit> edits,
-                             bool* resharded = nullptr);
+  std::size_t PatchSliceRows(std::size_t k, std::vector<la::RowEdit> edits);
 
   /// Value-only edits: overwrites slice k's stored values at the given
   /// (entry position, new value) pairs and mirrors them into the merged
-  /// view in place (no structure or plan change possible).
+  /// view in place (no structure change possible).
   std::size_t PatchSliceValues(
       std::size_t k,
       const std::vector<std::pair<std::size_t, double>>& edits);
 
   /// Read access to the merged view (prepared on demand) — the patched-vs-
-  /// rebuilt equivalence tests compare these arrays byte for byte. Shard
-  /// plans are excluded from that contract (correctness-neutral).
+  /// rebuilt equivalence tests compare these arrays byte for byte.
   const MergedView& merged_view() const { return MergedSlices(); }
 
  private:
   const MergedView& MergedSlices() const;
-  std::size_t RefreshMergedRows(std::vector<std::uint32_t> rows,
-                                bool* resharded);
+  std::size_t RefreshMergedRows(std::vector<std::uint32_t> rows);
 
   std::size_t n_;
   std::size_t m_;

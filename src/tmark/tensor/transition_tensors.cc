@@ -100,18 +100,14 @@ TransitionTensors TransitionTensors::Build(const SparseTensor3& adjacency) {
                   static_cast<double>(t.o_.NumNonZeros()));
     obs::SetGauge("tensor.transition.nnz_r",
                   static_cast<double>(t.r_.NumNonZeros()));
-    // Scaling telemetry: structure footprint of the merged views, the
-    // offset width the IndexArrays picked, and the LLC shard plan size
-    // (docs/PERFORMANCE.md "Scaling").
+    // Scaling telemetry: structure footprint of the merged views and the
+    // offset width the IndexArrays picked (docs/PERFORMANCE.md "Scaling").
     obs::SetGauge("tensor.merged.bytes",
                   static_cast<double>(t.o_.MergedViewStorageBytes() +
                                       t.r_.MergedViewStorageBytes()));
     obs::SetGauge("tensor.merged.index_bits",
                   static_cast<double>(std::max(t.o_.MergedViewIndexBits(),
                                                t.r_.MergedViewIndexBits())));
-    obs::SetGauge("tensor.merged.shards",
-                  static_cast<double>(t.o_.MergedShardCount() +
-                                      t.r_.MergedShardCount()));
   }
   if (span.active()) {
     span.AddField("nodes", n);
@@ -128,7 +124,6 @@ std::size_t TransitionTensors::ApplyPatch(
   obs::TraceSpan span("tensor.transition.patch");
   obs::ScopedTimer timer("tensor.transition.patch_ms");
   std::size_t rows_touched = 0;
-  std::size_t reshards = 0;
 
   // O: renormalize the edited slices through the full-build kernel
   // (NormalizeColumnsSparse on the mutated adjacency slice — the identical
@@ -146,9 +141,7 @@ std::size_t TransitionTensors::ApplyPatch(
         dangling_cols_[k].push_back(static_cast<std::uint32_t>(j));
       }
     }
-    bool reshard = false;
-    rows_touched += o_.ReplaceSlice(k, std::move(o_new), &reshard);
-    if (reshard) ++reshards;
+    rows_touched += o_.ReplaceSlice(k, std::move(o_new));
   }
 
   // Totals sum_k A[i,j,k] for the pairs that need one, accumulated over
@@ -200,9 +193,7 @@ std::size_t TransitionTensors::ApplyPatch(
         row_edits.push_back(std::move(e));
       }
       if (!row_edits.empty()) {
-        bool reshard = false;
-        rows_touched += r_.PatchSliceRows(k, std::move(row_edits), &reshard);
-        if (reshard) ++reshards;
+        rows_touched += r_.PatchSliceRows(k, std::move(row_edits));
       }
     }
     std::vector<std::pair<std::size_t, double>> value_edits;
@@ -275,9 +266,6 @@ std::size_t TransitionTensors::ApplyPatch(
 
   obs::IncrCounter("update.rows_touched",
                    static_cast<std::int64_t>(rows_touched));
-  if (reshards > 0) {
-    obs::IncrCounter("update.reshards", static_cast<std::int64_t>(reshards));
-  }
   if (obs::MetricsEnabled()) {
     obs::SetGauge("tensor.merged.bytes",
                   static_cast<double>(o_.MergedViewStorageBytes() +
@@ -285,9 +273,6 @@ std::size_t TransitionTensors::ApplyPatch(
     obs::SetGauge("tensor.merged.index_bits",
                   static_cast<double>(std::max(o_.MergedViewIndexBits(),
                                                r_.MergedViewIndexBits())));
-    obs::SetGauge("tensor.merged.shards",
-                  static_cast<double>(o_.MergedShardCount() +
-                                      r_.MergedShardCount()));
   }
   if (span.active()) {
     span.AddField("relations", delta.relations.size());
@@ -371,40 +356,6 @@ void TransitionTensors::ApplyOPanel(const la::DenseMatrix& x,
   }
   if (!la::mk::AnyNonZero(mass.data(), width)) return;
   // Columns with zero mass receive a + 0.0 — the value ApplyO's skip keeps.
-  for (std::size_t c = 0; c < width; ++c) {
-    mass[c] /= static_cast<double>(n_);
-  }
-  for (std::size_t i = 0; i < n_; ++i) {
-    la::mk::Add(y->RowPtr(i), mass.data(), width);
-  }
-}
-
-void TransitionTensors::ApplyOPanelF32(const la::PanelF32& x,
-                                       const la::DenseMatrix& z,
-                                       std::size_t width, la::DenseMatrix* y,
-                                       la::PanelWorkspace* ws) const {
-  TMARK_PROF_REGION("tensor.apply_o_panel_f32");
-  TMARK_CHECK(y != nullptr && ws != nullptr);
-  TMARK_CHECK(x.rows() == n_ && z.rows() == m_ && y->rows() == n_);
-  TMARK_CHECK(width <= x.cols());
-  o_.ContractMode1PanelF32(x, z, width, y, ws);
-  // The dangling correction mirrors ApplyOPanel step for step; the gathered
-  // x rows are float (widened exactly into the double column sums), so the
-  // correction carries the same demotion error as the contraction and
-  // nothing more.
-  la::Vector& mass = ws->Buffer(0, width);
-  la::Vector& colsum = ws->Buffer(1, width);
-  for (std::size_t k = 0; k < m_; ++k) {
-    if (dangling_cols_[k].empty()) continue;
-    const double* zrow = z.RowPtr(k);
-    if (!la::mk::AnyNonZero(zrow, width)) continue;
-    la::mk::Zero(colsum.data(), width);
-    for (std::uint32_t j : dangling_cols_[k]) {
-      la::mk::Add(colsum.data(), x.RowPtr(j), width);
-    }
-    la::mk::MulAdd(mass.data(), zrow, colsum.data(), width);
-  }
-  if (!la::mk::AnyNonZero(mass.data(), width)) return;
   for (std::size_t c = 0; c < width; ++c) {
     mass[c] /= static_cast<double>(n_);
   }

@@ -62,14 +62,6 @@ class TransitionTensors {
                    std::size_t width, la::DenseMatrix* y,
                    la::PanelWorkspace* ws) const;
 
-  /// ApplyOPanel with fp32 panel storage (TMarkConfig::fp32_panels): the
-  /// gathered x rows — contraction and dangling correction alike — are
-  /// float, every accumulation double. Same structure walk as ApplyOPanel;
-  /// not bit-identical to it (see la/panel_f32.h for the error bound).
-  void ApplyOPanelF32(const la::PanelF32& x, const la::DenseMatrix& z,
-                      std::size_t width, la::DenseMatrix* y,
-                      la::PanelWorkspace* ws) const;
-
   /// w(:, c) = R x1 x(:, c) x2 y(:, c) for c in [0, width).
   ///
   /// The optional sum arguments let the fused fit engine avoid extra panel
@@ -128,14 +120,13 @@ class TransitionTensors {
   /// linked mask after the adjacency mutated: the edited O slices
   /// renormalize through the exact full-build kernel, affected R rows
   /// re-divide against totals recomputed in the full build's accumulation
-  /// order, and the merged views patch in place (resharding only on budget
-  /// violation — see SparseTensor3). `adjacency` holds the POST-mutation
+  /// order, and the merged views patch in place (see SparseTensor3).
+  /// `adjacency` holds the POST-mutation
   /// relation slices (one per relation, all n x n); requires this operator
   /// set was built from the pre-mutation adjacency and `delta` covers every
   /// change. The patched operators are bit-identical to Build() on the
   /// mutated adjacency. Returns the number of merged-view rows refreshed
-  /// (also added to the "update.rows_touched" counter, with plan rebuilds
-  /// counted by "update.reshards").
+  /// (also added to the "update.rows_touched" counter).
   std::size_t ApplyPatch(const std::vector<const la::SparseMatrix*>& adjacency,
                          const AdjacencyDelta& delta);
 

@@ -1,14 +1,11 @@
-// Bit-identity tests for the LLC-sharded merged-view dispatch: a fit run
-// under any shard budget — pathologically tiny, the LLC-sized default, or
-// one so large the plan collapses to a single shard — must equal the
-// per-class engine bit for bit at every thread count, with sharding
-// enabled, disabled, and with the compact index arrays forced wide. The
-// shard plan shapes work assignment only; these tests pin that contract.
+// Bit-identity of the merged-view fit across offset widths: with the
+// adaptive index arrays forced to 64-bit offsets (la::SetForceWideIndexArrays,
+// the only way a test reaches the wide path), a fit must equal the compact
+// 32-bit fit bit for bit at every thread count.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,18 +13,15 @@
 #include "tmark/datasets/synthetic_hin.h"
 #include "tmark/la/index_array.h"
 #include "tmark/parallel/thread_pool.h"
-#include "tmark/tensor/sharding.h"
 
 namespace tmark {
 namespace {
 
-// Restores every global knob the tests touch, so a failing assertion cannot
-// leak a tiny budget or a forced-wide build into later tests.
+// Restores every global knob the test touches, so a failing assertion
+// cannot leak a forced-wide build into later tests.
 struct KnobGuard {
   ~KnobGuard() {
     parallel::SetNumThreads(0);
-    tensor::SetMergedShardBudgetBytes(0);
-    tensor::SetMergedShardingEnabled(true);
     la::SetForceWideIndexArrays(false);
   }
 };
@@ -76,53 +70,6 @@ void ExpectBitIdentical(const FitOutputs& golden, const FitOutputs& other) {
       EXPECT_EQ(g.residuals[t], o.residuals[t])  // exact, not approximate
           << "class " << c << " iteration " << t;
     }
-  }
-}
-
-TEST(ShardedFitTest, BitIdenticalAcrossShardBudgetsAndThreadCounts) {
-  KnobGuard guard;
-  const hin::Hin hin = MakeTestHin();
-  const std::vector<std::size_t> labeled = EveryThird(hin);
-
-  core::TMarkConfig per_class;
-  per_class.fit_mode = core::FitMode::kPerClass;
-  core::TMarkConfig batched = per_class;
-  batched.fit_mode = core::FitMode::kBatched;
-
-  // Golden: per-class engine, serial, default sharding config.
-  const FitOutputs golden = RunFit(hin, labeled, per_class, 1);
-
-  // 1 byte forces one shard per row (clamped by kMaxMergedShards); the
-  // default budget puts this whole test graph in one LLC block; SIZE_MAX
-  // collapses the plan to a single shard outright.
-  const std::size_t budgets[] = {1, tensor::kDefaultMergedShardBudgetBytes,
-                                 std::numeric_limits<std::size_t>::max()};
-  for (const std::size_t budget : budgets) {
-    SCOPED_TRACE("budget " + std::to_string(budget));
-    tensor::SetMergedShardBudgetBytes(budget);
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      ExpectBitIdentical(golden, RunFit(hin, labeled, batched, threads));
-    }
-  }
-}
-
-TEST(ShardedFitTest, DisabledShardingMatchesEnabled) {
-  KnobGuard guard;
-  const hin::Hin hin = MakeTestHin();
-  const std::vector<std::size_t> labeled = EveryThird(hin);
-
-  core::TMarkConfig batched;
-  batched.fit_mode = core::FitMode::kBatched;
-
-  tensor::SetMergedShardingEnabled(true);
-  tensor::SetMergedShardBudgetBytes(1);  // Maximal shard count.
-  const FitOutputs sharded = RunFit(hin, labeled, batched, 4);
-
-  tensor::SetMergedShardingEnabled(false);
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    ExpectBitIdentical(sharded, RunFit(hin, labeled, batched, threads));
   }
 }
 

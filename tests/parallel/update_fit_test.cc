@@ -4,8 +4,7 @@
 //
 //   * a PreparedOperators bundle patched through ApplyDelta is bit-identical
 //     to a from-scratch rebuild on the mutated HIN: same fingerprint, same
-//     CSR bytes, same merged-view arrays (shard plans excluded — they are
-//     correctness-neutral work assignment);
+//     CSR bytes, same merged-view arrays;
 //   * TMarkClassifier::Update's warm-started refresh lands within 1e-10 of
 //     a cold fit on the mutated network (the fixed point is unique —
 //     Theorem 3 — so warm and cold runs differ only by their stopping

@@ -118,12 +118,10 @@ int Usage() {
                "  info     --hin FILE\n"
                "  classify --hin FILE [--method NAME] [--train-fraction F]\n"
                "           [--alpha A] [--gamma G] [--seed S]\n"
-               "           [--fit-mode per_class|batched] "
-               "[--fp32-panels on|off]\n"
+               "           [--fit-mode per_class|batched]\n"
                "  rank     --hin FILE [--train-fraction F] [--alpha A]\n"
                "           [--gamma G] [--top K] [--seed S]\n"
-               "           [--fit-mode per_class|batched] "
-               "[--fp32-panels on|off]\n"
+               "           [--fit-mode per_class|batched]\n"
                "           [--save-model FILE | --model FILE]\n"
                "  serve    --hin FILE --serve-socket PATH | --serve-port N\n"
                "           [--train-fraction F] [--alpha A] [--gamma G]\n"
@@ -281,16 +279,6 @@ core::FitMode GetFitMode(const Args& args) {
   return mode;
 }
 
-/// Parses --fp32-panels (default off — the opt-in fp32 panel-storage mode
-/// of the batched engine, core/tmark.h).
-bool GetFp32Panels(const Args& args) {
-  const std::string raw = args.Get("fp32-panels", "");
-  if (raw.empty() || raw == "off") return false;
-  if (raw == "on") return true;
-  throw FlagError("invalid value '" + raw +
-                  "' for --fp32-panels (expected on|off)");
-}
-
 /// Loads --hin through the Status boundary; the flag is required.
 Result<hin::Hin> LoadHinFlag(const Args& args) {
   const std::string path = args.Get("hin", "");
@@ -348,8 +336,7 @@ Status Classify(const Args& args) {
   auto clf = baselines::TryMakeClassifier(method,
                                           args.GetDouble("alpha", 0.8),
                                           args.GetDouble("gamma", 0.6),
-                                          0.7, GetFitMode(args),
-                                          GetFp32Panels(args));
+                                          0.7, GetFitMode(args));
   if (clf == nullptr) {
     return InvalidArgumentError("unknown method '" + method + "'");
   }
@@ -371,7 +358,6 @@ Status Rank(const Args& args) {
   config.alpha = args.GetDouble("alpha", 0.8);
   config.gamma = args.GetDouble("gamma", 0.6);
   config.fit_mode = GetFitMode(args);
-  config.fp32_panels = GetFp32Panels(args);
   core::TMarkClassifier clf(config);
   if (!model_path.empty()) {
     TMARK_ASSIGN_OR_RETURN(clf, core::LoadTMarkModelFromFile(model_path));
@@ -441,22 +427,26 @@ Status Serve(const Args& args) {
   server_options.tcp_port = static_cast<int>(port);
   server_options.max_requests = args.GetSize("max-requests", 0);
   serve::SocketServer server(&daemon, server_options);
-  TMARK_RETURN_IF_ERROR(server.Start());
-  const std::string endpoint =
-      socket_path.empty() ? "127.0.0.1:" + std::to_string(server.port())
-                          : socket_path;
-  std::printf("serving on %s (batch window %zu us, max batch %zu, "
-              "max queue %zu)\n",
-              endpoint.c_str(), options.batcher.batch_window_us,
-              options.batcher.max_batch, options.batcher.max_queue);
-  std::fflush(stdout);
+  // Handlers before Start, as in tmark_served: a signal that arrives once
+  // the socket answers must stop the server cleanly.
   g_server = &server;
   std::signal(SIGINT, HandleSigint);
   std::signal(SIGTERM, HandleSigint);
-  server.Wait();
+  const Status started = server.Start();
+  if (started.ok()) {
+    const std::string endpoint =
+        socket_path.empty() ? "127.0.0.1:" + std::to_string(server.port())
+                            : socket_path;
+    std::printf("serving on %s (batch window %zu us, max batch %zu, "
+                "max queue %zu)\n",
+                endpoint.c_str(), options.batcher.batch_window_us,
+                options.batcher.max_batch, options.batcher.max_queue);
+    std::fflush(stdout);
+    server.Wait();
+  }
   g_server = nullptr;
   server.Stop();
-  return Status::Ok();
+  return started;
 }
 
 }  // namespace

@@ -172,21 +172,26 @@ Status Run(const Args& args) {
   server_options.tcp_port = static_cast<int>(port);
   server_options.max_requests = args.GetSize("max-requests", 0);
   serve::SocketServer server(&daemon, server_options);
-  TMARK_RETURN_IF_ERROR(server.Start());
-  const std::string endpoint =
-      socket_path.empty() ? "127.0.0.1:" + std::to_string(server.port())
-                          : socket_path;
-  std::printf("tmark_served: %zu nodes, %zu classes; listening on %s\n",
-              daemon.hin().num_nodes(), daemon.hin().num_classes(),
-              endpoint.c_str());
-  std::fflush(stdout);
-
+  // The handlers go in before Start: a signal that arrives once the socket
+  // answers must stop the daemon cleanly, not kill it by the default
+  // action. A stop requested before Start is kept.
   g_server = &server;
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
-  server.Wait();
+  const Status started = server.Start();
+  if (started.ok()) {
+    const std::string endpoint =
+        socket_path.empty() ? "127.0.0.1:" + std::to_string(server.port())
+                            : socket_path;
+    std::printf("tmark_served: %zu nodes, %zu classes; listening on %s\n",
+                daemon.hin().num_nodes(), daemon.hin().num_classes(),
+                endpoint.c_str());
+    std::fflush(stdout);
+    server.Wait();
+  }
   g_server = nullptr;
   server.Stop();
+  TMARK_RETURN_IF_ERROR(started);
   return daemon.WaitForUpdate();
 }
 
