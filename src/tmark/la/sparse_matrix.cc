@@ -14,10 +14,11 @@ namespace {
 
 // Row grains for the parallel kernels. Below one grain of work the loops
 // collapse to a single chunk on the calling thread (the exact serial code).
-// Scatter/reduction kernels use a large grain and a small chunk cap so the
-// ordered per-chunk partial buffers stay cheap; their chunk boundaries are
-// fixed by the row count alone, keeping results bit-identical across thread
-// counts.
+// Scatter kernels use a large grain and a small chunk cap because each
+// chunk's partial buffer is a whole output panel; the reductions' partials
+// are one value per column, so their grain is small (kBilinearReduceGrain).
+// Either way chunk boundaries are fixed by the row count alone, keeping
+// results bit-identical across thread counts.
 constexpr std::size_t kMatVecGrain = 1024;
 constexpr std::size_t kScatterGrain = 8192;
 constexpr std::size_t kScatterMaxChunks = 16;

@@ -38,8 +38,11 @@ class SparseMatrix {
   /// Row grain of the Bilinear / BilinearPanel reductions. Public so fused
   /// multi-slice kernels (SparseTensor3::ContractMode3Panel) can reproduce
   /// the exact per-chunk partial-sum boundaries — the fold order is part of
-  /// the bit-identity contract, not just the grouping of work.
-  static constexpr std::size_t kBilinearReduceGrain = 8192;
+  /// the bit-identity contract, not just the grouping of work. Small enough
+  /// that an 800-node network (the DBLP preset) splits into 4 chunks, so
+  /// the z-update of a small batched fit runs on 4 threads instead of one;
+  /// NumFixedChunks' 64-chunk cap bounds the partials of large networks.
+  static constexpr std::size_t kBilinearReduceGrain = 256;
 
   /// Empty 0x0 matrix.
   SparseMatrix() : rows_(0), cols_(0), row_ptr_(IndexArray::Zeros(1)) {}

@@ -7,8 +7,9 @@
 // never from the thread count — so a kernel that writes disjoint outputs is
 // bit-identical at any parallelism degree, and a reduction that combines
 // ordered per-chunk partials in chunk order is too. Callers pick grains
-// large enough that small (test-sized) inputs collapse to a single chunk,
-// which executes the exact serial loop on the calling thread.
+// large enough that a chunk's work outweighs its dispatch; an input below
+// one grain collapses to a single chunk, which executes the exact serial
+// loop on the calling thread.
 
 #include <cstddef>
 #include <functional>

@@ -1,8 +1,8 @@
 // Golden bit-identity tests for the batched fit engine: a batched Fit must
 // equal the per-class Fit (which parallel_fit_test.cc already pins to the
 // seed serial results) bit for bit — exact ==, no tolerance — across every
-// similarity kernel, thread counts {1, 4}, warm starts, ICA on/off, and
-// iteration-capped (unconverged) runs.
+// similarity kernel, thread counts {1, 4}, warm starts, ICA on/off,
+// multi-chunk reductions, and iteration-capped (unconverged) runs.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,8 @@
 #include "tmark/datasets/synthetic_hin.h"
 #include "tmark/hin/hin_builder.h"
 #include "tmark/hin/similarity_kernel.h"
+#include "tmark/la/sparse_matrix.h"
+#include "tmark/parallel/parallel_for.h"
 #include "tmark/parallel/thread_pool.h"
 
 namespace tmark {
@@ -133,6 +135,36 @@ TEST(BatchedFitTest, MatchesPerClassAcrossKernelsAndThreadCounts) {
     // The per-class engine at 4 threads must also still hit the golden
     // serial results (regression guard alongside parallel_fit_test.cc).
     ExpectBitIdentical(golden, RunFit(hin, labeled, per_class, 4, false));
+  }
+}
+
+// Large enough that the z-update reductions split into several
+// kBilinearReduceGrain-row chunks, so the ordered fold of their partials,
+// run on 4 threads, is pinned to the per-class engine too.
+TEST(BatchedFitTest, MultiChunkReductionsMatchPerClass) {
+  ThreadCountGuard guard;
+  datasets::SyntheticHinConfig config;
+  config.num_nodes = 800;
+  config.class_names = {"A", "B", "C", "D"};
+  config.relations = {{"r0", 0.85, 0.0, 3.0, {}, false},
+                      {"r1", 0.6, 0.2, 2.0, {}, true}};
+  config.seed = 123;
+  const hin::Hin hin = datasets::GenerateSyntheticHin(config);
+  ASSERT_GT(parallel::NumFixedChunks(hin.num_nodes(),
+                                     la::SparseMatrix::kBilinearReduceGrain),
+            1u);
+  const std::vector<std::size_t> labeled = EveryThird(hin);
+
+  core::TMarkConfig per_class;
+  per_class.fit_mode = core::FitMode::kPerClass;
+  core::TMarkConfig batched = per_class;
+  batched.fit_mode = core::FitMode::kBatched;
+
+  const FitOutputs golden = RunFit(hin, labeled, per_class, 1, false);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ExpectBitIdentical(golden, RunFit(hin, labeled, batched, threads, false));
+    ExpectBitIdentical(golden, RunFit(hin, labeled, per_class, threads, false));
   }
 }
 

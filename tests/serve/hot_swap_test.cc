@@ -88,16 +88,22 @@ TEST_P(HotSwapTest, ConcurrentQueriesNeverSeeATornBundle) {
   };
   std::vector<std::vector<Observation>> seen(num_clients);
   std::atomic<bool> done{false};
+  std::atomic<int> answered{0};
   std::vector<std::thread> clients;
   for (int t = 0; t < num_clients; ++t) {
     clients.emplace_back([&, t] {
       std::size_t node = static_cast<std::size_t>(t) * 7;
+      bool first = true;
       while (!done.load(std::memory_order_relaxed)) {
         Request request;
         request.kind = RequestKind::kClassify;
         request.node = node % 150;
         node += 13;
         const Result<Response> response = daemon.Execute(request);
+        if (first) {
+          first = false;
+          answered.fetch_add(1);
+        }
         ASSERT_TRUE(response.ok()) << response.status().ToString();
         seen[t].push_back(
             {response->generation, response->fingerprint, response->stale});
@@ -105,6 +111,11 @@ TEST_P(HotSwapTest, ConcurrentQueriesNeverSeeATornBundle) {
     });
   }
 
+  // Every client gets one answer before the update starts, so generation 1
+  // is observed however the threads are scheduled; otherwise a refresh
+  // that finishes before a lone client's first query leaves nothing to
+  // check on the pre-swap side.
+  while (answered.load() < num_clients) std::this_thread::yield();
   ASSERT_TRUE(daemon.BeginUpdate(delta).ok());
   const Status update = daemon.WaitForUpdate();
   done.store(true, std::memory_order_relaxed);
