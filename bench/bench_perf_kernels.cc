@@ -9,11 +9,11 @@
 //                    (plain runtime-width inner loops, implemented in this
 //                    file); the gated baseline, isolating what the blocked
 //                    dispatch + SIMD annotation buy;
-//       vector_ms  — `width` single-vector kernel calls (the per-class
-//                    engine's cost shape); informational, showing where the
-//                    one-structure-pass panel form overtakes it.
+//       width1_ms  — `width` calls of the same blocked panel kernel at
+//                    width 1 (each column alone); informational, showing
+//                    what one structure pass for all columns saves.
 //   * "fused-epilogue comparison" — the fused combine + normalize/residual
-//     passes of the batched fit engine against the unfused sweep sequence
+//     passes of the fixed-point engine against the unfused sweep sequence
 //     they replaced (scale, two axpys, L1 normalize, L1 distances).
 //
 // Both tables are recorded in the TMARK_BENCH_JSON dump and gated by
@@ -79,8 +79,8 @@ la::Vector MakeProb(std::size_t n, std::size_t salt) {
   return v;
 }
 
-// Panels are built with exactly `width` physical columns — the batched
-// engine's layout when all q classes are active (stride == width). A wider
+// Panels are built with exactly `width` physical columns — the engine's
+// layout when all of its chains are active (stride == width). A wider
 // stride would charge the small-width rows for cache lines they never use.
 la::DenseMatrix MakeProbPanel(std::size_t rows, std::size_t width,
                               std::size_t salt) {
@@ -92,10 +92,13 @@ la::DenseMatrix MakeProbPanel(std::size_t rows, std::size_t width,
   return p;
 }
 
-std::vector<la::Vector> PanelColumns(const la::DenseMatrix& panel) {
-  std::vector<la::Vector> cols;
-  for (std::size_t c = 0; c < panel.cols(); ++c) cols.push_back(panel.Col(c));
-  return cols;
+/// Column `c` of `panel` as a width-1 panel of its own.
+la::DenseMatrix ColumnPanel(const la::DenseMatrix& panel, std::size_t c) {
+  la::DenseMatrix column(panel.rows(), 1);
+  for (std::size_t r = 0; r < panel.rows(); ++r) {
+    column.At(r, 0) = panel.At(r, c);
+  }
+  return column;
 }
 
 // ---- unblocked scalar references of the panel kernels --------------------
@@ -243,6 +246,11 @@ struct ScalarSimilarity {
   }
 };
 
+/// The dense operands of one kernel call: input panels and the output.
+struct Operands {
+  la::DenseMatrix xp, yp, zp, node_out;
+};
+
 /// Shared sparse operators, built once. The dense operands are re-made per
 /// width (see Fixture::SetWidth) so panel strides match the width under
 /// test; the timed lambdas only touch warm caller-owned outputs and the
@@ -259,20 +267,24 @@ struct Fixture {
   la::SparseMatrix features = MakeSparse(kNodes, kVocab, 11);
   hin::FeatureSimilarity sim = hin::FeatureSimilarity::Build(features);
   ScalarSimilarity scalar_sim = ScalarSimilarity::Build(features);
-  la::DenseMatrix xp, yp, zp, node_out, sim_u, sim_t;
-  std::vector<la::Vector> xcols, ycols, zcols;
-  la::Vector vec_out;
+  Operands panel;                 ///< `width` columns.
+  std::vector<Operands> columns;  ///< Each column of `panel` at width 1.
+  la::DenseMatrix sim_u, sim_t;
   la::Vector bilinear_out = la::Vector(kMaxWidth);
   la::PanelWorkspace ws;
 
   void SetWidth(std::size_t width) {
-    xp = MakeProbPanel(kNodes, width, 20);
-    yp = MakeProbPanel(kNodes, width, 40);
-    zp = MakeProbPanel(kRelations, width, 60);
-    xcols = PanelColumns(xp);
-    ycols = PanelColumns(yp);
-    zcols = PanelColumns(zp);
-    node_out = la::DenseMatrix(kNodes, width);
+    panel.xp = MakeProbPanel(kNodes, width, 20);
+    panel.yp = MakeProbPanel(kNodes, width, 40);
+    panel.zp = MakeProbPanel(kRelations, width, 60);
+    panel.node_out = la::DenseMatrix(kNodes, width);
+    columns.assign(width, Operands{});
+    for (std::size_t c = 0; c < width; ++c) {
+      columns[c].xp = ColumnPanel(panel.xp, c);
+      columns[c].yp = ColumnPanel(panel.yp, c);
+      columns[c].zp = ColumnPanel(panel.zp, c);
+      columns[c].node_out = la::DenseMatrix(kNodes, 1);
+    }
     sim_u = la::DenseMatrix(kNodes, width);
     sim_t = la::DenseMatrix(kVocab, width);
   }
@@ -288,70 +300,49 @@ struct KernelRow {
   const char* name;
   // Runs the unblocked scalar reference of the panel kernel (gated).
   void (*scalar_fn)(Fixture&, std::size_t width);
-  // Runs the blocked library panel kernel (gated against scalar_fn).
-  void (*blocked_fn)(Fixture&, std::size_t width);
-  // Runs `width` single-vector kernel calls (informational).
-  void (*vector_fn)(Fixture&, std::size_t width);
+  // Runs the blocked library panel kernel on `ops` (gated against
+  // scalar_fn on the full panel; width1_ms runs it on each column alone).
+  void (*blocked_fn)(Fixture&, Operands& ops, std::size_t width);
 };
 
 const KernelRow kKernelRows[] = {
     {"matmul_panel",
      [](Fixture& f, std::size_t w) {
-       ScalarMatMulPanel(f.a, f.xp, w, &f.node_out);
+       ScalarMatMulPanel(f.a, f.panel.xp, w, &f.panel.node_out);
      },
-     [](Fixture& f, std::size_t w) { f.a.MatMulPanel(f.xp, w, &f.node_out); },
-     [](Fixture& f, std::size_t w) {
-       for (std::size_t c = 0; c < w; ++c) {
-         f.a.MatVecInto(f.xcols[c], &f.vec_out);
-       }
+     [](Fixture& f, Operands& ops, std::size_t w) {
+       f.a.MatMulPanel(ops.xp, w, &ops.node_out);
      }},
     {"transpose_matmul_panel",
      [](Fixture& f, std::size_t w) {
-       ScalarTransposeMatMulPanel(f.a, f.xp, w, &f.node_out);
+       ScalarTransposeMatMulPanel(f.a, f.panel.xp, w, &f.panel.node_out);
      },
-     [](Fixture& f, std::size_t w) {
-       f.a.TransposeMatMulPanel(f.xp, w, &f.node_out, &f.ws);
-     },
-     [](Fixture& f, std::size_t w) {
-       for (std::size_t c = 0; c < w; ++c) {
-         f.a.TransposeMatVecInto(f.xcols[c], &f.vec_out, &f.ws);
-       }
+     [](Fixture& f, Operands& ops, std::size_t w) {
+       f.a.TransposeMatMulPanel(ops.xp, w, &ops.node_out, &f.ws);
      }},
     {"bilinear_panel",
      [](Fixture& f, std::size_t w) {
-       ScalarBilinearPanel(f.a, f.xp, f.yp, w, f.bilinear_out.data());
+       ScalarBilinearPanel(f.a, f.panel.xp, f.panel.yp, w,
+                           f.bilinear_out.data());
      },
-     [](Fixture& f, std::size_t w) {
-       f.a.BilinearPanel(f.xp, f.yp, w, f.bilinear_out.data(), &f.ws);
-     },
-     [](Fixture& f, std::size_t w) {
-       for (std::size_t c = 0; c < w; ++c) {
-         benchmark::DoNotOptimize(f.a.Bilinear(f.xcols[c], f.ycols[c]));
-       }
+     [](Fixture& f, Operands& ops, std::size_t w) {
+       f.a.BilinearPanel(ops.xp, ops.yp, w, f.bilinear_out.data(), &f.ws);
      }},
     {"contract_mode1_panel",
      [](Fixture& f, std::size_t w) {
-       ScalarContractMode1Panel(f.tensor, f.xp, f.zp, w, &f.node_out);
+       ScalarContractMode1Panel(f.tensor, f.panel.xp, f.panel.zp, w,
+                                &f.panel.node_out);
      },
-     [](Fixture& f, std::size_t w) {
-       f.tensor.ContractMode1Panel(f.xp, f.zp, w, &f.node_out, &f.ws);
-     },
-     [](Fixture& f, std::size_t w) {
-       for (std::size_t c = 0; c < w; ++c) {
-         f.tensor.ContractMode1Into(f.xcols[c], f.zcols[c], &f.vec_out);
-       }
+     [](Fixture& f, Operands& ops, std::size_t w) {
+       f.tensor.ContractMode1Panel(ops.xp, ops.zp, w, &ops.node_out, &f.ws);
      }},
     {"similarity_apply_panel",
      [](Fixture& f, std::size_t w) {
-       f.scalar_sim.ApplyPanel(f.xp, w, &f.node_out, &f.sim_u, &f.sim_t);
+       f.scalar_sim.ApplyPanel(f.panel.xp, w, &f.panel.node_out, &f.sim_u,
+                               &f.sim_t);
      },
-     [](Fixture& f, std::size_t w) {
-       f.sim.ApplyPanel(f.xp, w, &f.node_out, &f.ws);
-     },
-     [](Fixture& f, std::size_t w) {
-       for (std::size_t c = 0; c < w; ++c) {
-         f.sim.ApplyInto(f.xcols[c], &f.ws, &f.vec_out);
-       }
+     [](Fixture& f, Operands& ops, std::size_t w) {
+       f.sim.ApplyPanel(ops.xp, w, &ops.node_out, &f.ws);
      }},
 };
 
@@ -370,7 +361,7 @@ void RunKernelMicrobench() {
   SingleThreadGuard pin;
   Fixture f;
   std::vector<std::string> headers = {"kernel",     "width",     "scalar_ms",
-                                      "blocked_ms", "vector_ms", "speedup"};
+                                      "blocked_ms", "width1_ms", "speedup"};
   eval::TablePrinter table(headers);
   std::vector<std::vector<std::string>> rows;
   for (const KernelRow& kernel : kKernelRows) {
@@ -381,17 +372,21 @@ void RunKernelMicrobench() {
         for (std::size_t i = 0; i < reps; ++i) kernel.scalar_fn(f, width);
       });
       const auto blocked_timing = bench::BenchTimer::Time([&] {
-        for (std::size_t i = 0; i < reps; ++i) kernel.blocked_fn(f, width);
+        for (std::size_t i = 0; i < reps; ++i) {
+          kernel.blocked_fn(f, f.panel, width);
+        }
       });
-      const auto vector_timing = bench::BenchTimer::Time([&] {
-        for (std::size_t i = 0; i < reps; ++i) kernel.vector_fn(f, width);
+      const auto width1_timing = bench::BenchTimer::Time([&] {
+        for (std::size_t i = 0; i < reps; ++i) {
+          for (Operands& column : f.columns) kernel.blocked_fn(f, column, 1);
+        }
       });
       std::vector<std::string> row = {
           kernel.name,
           std::to_string(width),
           FormatDouble(scalar_timing.min_ms, 3),
           FormatDouble(blocked_timing.min_ms, 3),
-          FormatDouble(vector_timing.min_ms, 3),
+          FormatDouble(width1_timing.min_ms, 3),
           FormatDouble(scalar_timing.min_ms / blocked_timing.min_ms, 2)};
       rows.push_back(row);
       table.AddRow(std::move(row));
@@ -400,8 +395,8 @@ void RunKernelMicrobench() {
   std::cout << "kernel microbenchmarks (" << kNodes << " nodes, "
             << kRelations << " relations, min over "
             << std::max(1, bench::BenchTimer::Repeats())
-            << " repeats; scalar_ms = unblocked panel reference, vector_ms = "
-               "width single-vector calls, speedup = scalar/blocked)\n";
+            << " repeats; scalar_ms = unblocked panel reference, width1_ms = "
+               "width calls at width 1, speedup = scalar/blocked)\n";
   table.Print(std::cout);
   if (bench::BenchObsSession* session = bench::BenchObsSession::active()) {
     session->RecordTable(
@@ -469,8 +464,8 @@ void BM_MatMulPanel(benchmark::State& state) {
   const auto width = static_cast<std::size_t>(state.range(0));
   f.SetWidth(width);
   for (auto _ : state) {
-    f.a.MatMulPanel(f.xp, width, &f.node_out);
-    benchmark::DoNotOptimize(f.node_out.data());
+    f.a.MatMulPanel(f.panel.xp, width, &f.panel.node_out);
+    benchmark::DoNotOptimize(f.panel.node_out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(f.a.NumNonZeros() * width));
@@ -482,8 +477,8 @@ void BM_SimilarityApplyPanel(benchmark::State& state) {
   const auto width = static_cast<std::size_t>(state.range(0));
   f.SetWidth(width);
   for (auto _ : state) {
-    f.sim.ApplyPanel(f.xp, width, &f.node_out, &f.ws);
-    benchmark::DoNotOptimize(f.node_out.data());
+    f.sim.ApplyPanel(f.panel.xp, width, &f.panel.node_out, &f.ws);
+    benchmark::DoNotOptimize(f.panel.node_out.data());
   }
 }
 BENCHMARK(BM_SimilarityApplyPanel)->Arg(1)->Arg(4)->Arg(16);

@@ -1,14 +1,16 @@
 // Micro-benchmarks for the Sec. 4.5 complexity claims: the contraction
-// kernels O x1 x x3 z and R x1 x x2 x cost O(D) in the stored non-zeros D,
-// independent of the dense n^2 m volume. The per-item time should stay
-// roughly flat as D grows (linear total cost), and far below the dense
-// reference.
+// kernels O x1 x x3 z and R x1 x x2 x (width-1 panels) cost O(D) in the
+// stored non-zeros D, independent of the dense n^2 m volume. The per-item
+// time should stay roughly flat as D grows (linear total cost), and far
+// below the dense reference.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/common.h"
 
 #include "tmark/common/random.h"
+#include "tmark/la/dense_matrix.h"
+#include "tmark/la/panel.h"
 #include "tmark/tensor/transition_tensors.h"
 
 namespace {
@@ -29,16 +31,22 @@ tensor::SparseTensor3 RandomTensor(std::size_t n, std::size_t m,
   return tensor::SparseTensor3::FromEntries(n, m, std::move(entries));
 }
 
+// The contractions run as width-1 panels: one vector, the shape of a single
+// seed walk.
 void BM_ApplyO(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t m = 16;
   const std::size_t d = 8 * n;  // D scales linearly with n
   const tensor::TransitionTensors t =
       tensor::TransitionTensors::Build(RandomTensor(n, m, d, 7));
-  const la::Vector x = la::UniformProbability(n);
-  const la::Vector z = la::UniformProbability(m);
+  const la::DenseMatrix x(n, 1, 1.0 / static_cast<double>(n));
+  const la::DenseMatrix z(m, 1, 1.0 / static_cast<double>(m));
+  la::DenseMatrix y(n, 1);
+  la::PanelWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(t.ApplyO(x, z));
+    t.ApplyOPanel(x, z, 1, &y, &ws);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(d));
@@ -51,9 +59,13 @@ void BM_ApplyR(benchmark::State& state) {
   const std::size_t d = 8 * n;
   const tensor::TransitionTensors t =
       tensor::TransitionTensors::Build(RandomTensor(n, m, d, 11));
-  const la::Vector x = la::UniformProbability(n);
+  const la::DenseMatrix x(n, 1, 1.0 / static_cast<double>(n));
+  la::DenseMatrix w(m, 1);
+  la::PanelWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(t.ApplyR(x, x));
+    t.ApplyRPanel(x, x, 1, &w, &ws);
+    benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(d));

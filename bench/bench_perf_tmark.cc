@@ -3,30 +3,35 @@
 //   * runtime scales linearly in nodes (D ~ n for fixed density),
 //   * linearly in the number of classes q,
 //   * the ICA update (T-Mark) costs little over TensorRrCc,
-//   * the batched panel engine is at least as fast per iteration as the
-//     per-class engine (docs/PERFORMANCE.md; gated by
-//     scripts/check_fit_engine.py).
+//   * one width-q fit (all classes as the columns of the panel fixed-point
+//     engine) costs less than q width-1 fits, each class alone
+//     (docs/PERFORMANCE.md; gated by scripts/check_fit_engine.py).
 //
-// Besides the google-benchmark timings, main() always runs the fit-engine
+// Besides the google-benchmark timings, main() always runs the width
 // comparison on the DBLP synthetic preset and records it as the
 // "fit-engine comparison" table of the TMARK_BENCH_JSON dump — run with
 // --benchmark_filter=^$ to get just that section.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/common.h"
 
 #include "tmark/common/string_util.h"
+#include "tmark/core/panel_fixed_point.h"
 #include "tmark/core/prepared_operators.h"
 #include "tmark/core/tensor_rrcc.h"
 #include "tmark/core/tmark.h"
 #include "tmark/datasets/presets.h"
 #include "tmark/datasets/synthetic_hin.h"
 #include "tmark/eval/experiment.h"
+#include "tmark/hin/label_vector.h"
+#include "tmark/la/panel.h"
 
 namespace {
 
@@ -108,81 +113,149 @@ void BM_StratifiedSplit(benchmark::State& state) {
 }
 BENCHMARK(BM_StratifiedSplit);
 
-// Per-engine fit timing on the DBLP synthetic preset with prebuilt
-// operators, so the iteration loop (not the O/R/W build) is what is timed.
-void BM_TMarkFit_Engine(benchmark::State& state) {
-  const auto hin_result = datasets::MakePreset("dblp", {});
-  const hin::Hin& hin = *hin_result;
-  const auto labeled = ThirdLabeled(hin);
-  core::TMarkConfig config;
-  config.fit_mode = state.range(0) == 0 ? core::FitMode::kPerClass
-                                        : core::FitMode::kBatched;
-  const core::PreparedOperators ops =
-      core::PreparedOperators::Build(hin, config.similarity);
-  for (auto _ : state) {
-    core::TMarkClassifier clf(config);
-    clf.Fit(hin, ops, labeled);
-    benchmark::DoNotOptimize(clf.Confidences());
+/// One cold fit, width q: all classes as the columns of one engine.
+/// Returns the column iterations.
+std::size_t FitAllClasses(const hin::Hin& hin,
+                          const std::vector<std::size_t>& labeled,
+                          const core::PreparedOperators& ops,
+                          const core::TMarkConfig& config) {
+  core::TMarkClassifier clf(config);
+  clf.Fit(hin, ops, labeled);
+  benchmark::DoNotOptimize(clf.Confidences());
+  std::size_t iterations = 0;
+  for (const core::ConvergenceTrace& trace : clf.Traces()) {
+    iterations += trace.residuals.size();
   }
-  state.SetLabel(state.range(0) == 0 ? "per_class" : "batched");
+  return iterations;
 }
-BENCHMARK(BM_TMarkFit_Engine)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/// The batched-vs-per-class comparison section: one warm-up then
-/// TMARK_BENCH_REPEATS (>= 3) timed fits per engine on the DBLP synthetic
-/// preset, recorded as a table in the TMARK_BENCH_JSON dump. Both engines
-/// produce bit-identical traces, so the total column-iteration count is the
-/// same and ms_per_iter is directly comparable.
+/// Class `c` of the same cold fit alone, width 1: one engine chain with the
+/// fit's label restart and ICA refresh. Returns its iterations.
+std::size_t FitClassAlone(const hin::Hin& hin,
+                          const std::vector<std::size_t>& labeled,
+                          const core::PreparedOperators& ops,
+                          const core::TMarkConfig& config, std::size_t c) {
+  const std::size_t n = hin.num_nodes();
+  const std::size_t m = hin.num_relations();
+  core::PanelFixedPoint engine;
+  engine.Reset(n, m, 1);
+  const la::Vector l = hin::InitialLabelVector(hin, labeled, c);
+  la::SetColumn(l, 0, &engine.restart());
+  la::SetColumn(l, 0, &engine.start_x());
+  la::SetColumn(la::UniformProbability(m), 0, &engine.start_z());
+  core::PanelFixedPoint::Options options;
+  options.alpha = config.alpha;
+  options.beta = config.beta();
+  options.epsilon = config.epsilon;
+  options.max_iterations = config.max_iterations;
+  options.phase_timers = true;
+  la::Vector x_col, l_col;
+  std::vector<bool> known;
+  const core::PanelFixedPoint::Refresh ica =
+      [&](std::size_t, const la::DenseMatrix& x, std::size_t slot,
+          la::DenseMatrix* restart) {
+        la::ExtractColumn(x, slot, &x_col);
+        hin::UpdatedLabelVectorInto(hin, labeled, c, x_col, config.lambda,
+                                    &l_col, &known);
+        la::SetColumn(l_col, slot, restart);
+      };
+  la::Vector confidences;
+  engine.Run(
+      ops, options,
+      [&](std::size_t, const la::DenseMatrix& x, const la::DenseMatrix&,
+          std::size_t slot) { la::ExtractColumn(x, slot, &confidences); },
+      ica);
+  benchmark::DoNotOptimize(confidences.data());
+  return engine.residuals(0).size();
+}
+
+double Median(std::vector<double> runs) {
+  std::sort(runs.begin(), runs.end());
+  const std::size_t mid = runs.size() / 2;
+  return runs.size() % 2 == 1 ? runs[mid] : 0.5 * (runs[mid - 1] + runs[mid]);
+}
+
+/// The width comparison on the DBLP synthetic preset with prebuilt
+/// operators: one width-q fit (all q classes in one panel) against q
+/// width-1 fits (each class alone), recorded as a table in the
+/// TMARK_BENCH_JSON dump. The two sides alternate within this process — and
+/// alternate which goes first — over max(9, TMARK_BENCH_REPEATS) rounds
+/// after one warm-up each; the gate compares medians. Every column is
+/// bit-identical at any width, so the iteration counts agree.
 void RunFitEngineComparison() {
-  datasets::PresetOptions options;
-  const hin::Hin hin = *datasets::MakePreset("dblp", options);
+  datasets::PresetOptions preset;
+  const hin::Hin hin = *datasets::MakePreset("dblp", preset);
   const auto labeled = ThirdLabeled(hin);
   const core::PreparedOperators ops =
       core::PreparedOperators::Build(hin, hin::SimilarityKernel::kCosine);
+  const core::TMarkConfig config;
+  const std::size_t q = hin.num_classes();
 
-  std::vector<std::string> headers = {"engine",    "threads",
+  // Warm-up, which also yields the iteration counts.
+  const std::size_t width_q_iterations =
+      FitAllClasses(hin, labeled, ops, config);
+  std::vector<std::size_t> width_1_iterations(q);
+  for (std::size_t c = 0; c < q; ++c) {
+    width_1_iterations[c] = FitClassAlone(hin, labeled, ops, config, c);
+  }
+  const int repeats = std::max(9, bench::BenchTimer::Repeats());
+  std::vector<double> width_q_ms;
+  std::vector<std::vector<double>> width_1_ms(q);
+  const auto run_width_q = [&] {
+    obs::Stopwatch watch;
+    FitAllClasses(hin, labeled, ops, config);
+    width_q_ms.push_back(watch.ElapsedMs());
+  };
+  const auto run_width_1 = [&] {
+    for (std::size_t c = 0; c < q; ++c) {
+      obs::Stopwatch watch;
+      FitClassAlone(hin, labeled, ops, config, c);
+      width_1_ms[c].push_back(watch.ElapsedMs());
+    }
+  };
+  for (int r = 0; r < repeats; ++r) {
+    if (r % 2 == 0) {
+      run_width_q();
+      run_width_1();
+    } else {
+      run_width_1();
+      run_width_q();
+    }
+  }
+
+  const std::string threads = std::to_string(parallel::NumThreads());
+  const std::string host_cores =
+      std::to_string(std::thread::hardware_concurrency());
+  std::vector<std::string> headers = {"engine",     "class",
+                                      "threads",    "host_cores",
                                       "fit_ms_min", "fit_ms_median",
-                                      "iterations", "ms_per_iter"};
+                                      "iterations"};
   eval::TablePrinter table(headers);
   std::vector<std::vector<std::string>> rows;
-  for (const core::FitMode mode :
-       {core::FitMode::kPerClass, core::FitMode::kBatched}) {
-    core::TMarkConfig config;
-    config.fit_mode = mode;
-    core::TMarkClassifier clf(config);
-    clf.Fit(hin, ops, labeled);  // warm-up, also yields the trace lengths
-    std::size_t iterations = 0;
-    for (const core::ConvergenceTrace& trace : clf.Traces()) {
-      iterations += trace.residuals.size();
-    }
-    const int repeats = std::max(3, bench::BenchTimer::Repeats());
-    std::vector<double> runs;
-    runs.reserve(static_cast<std::size_t>(repeats));
-    for (int r = 0; r < repeats; ++r) {
-      obs::Stopwatch watch;
-      core::TMarkClassifier timed(config);
-      timed.Fit(hin, ops, labeled);
-      runs.push_back(watch.ElapsedMs());
-      benchmark::DoNotOptimize(timed.Confidences());
-    }
-    std::sort(runs.begin(), runs.end());
-    const std::size_t mid = runs.size() / 2;
-    const double median = runs.size() % 2 == 1
-                              ? runs[mid]
-                              : 0.5 * (runs[mid - 1] + runs[mid]);
+  const auto add_row = [&](const std::string& engine, const std::string& cls,
+                           const std::vector<double>& runs,
+                           std::size_t iterations) {
     std::vector<std::string> row = {
-        core::ToString(mode),
-        std::to_string(parallel::NumThreads()),
-        FormatDouble(runs.front(), 3),
-        FormatDouble(median, 3),
-        std::to_string(iterations),
-        FormatDouble(runs.front() / static_cast<double>(iterations), 5)};
+        engine,
+        cls,
+        threads,
+        host_cores,
+        FormatDouble(*std::min_element(runs.begin(), runs.end()), 3),
+        FormatDouble(Median(runs), 3),
+        std::to_string(iterations)};
     rows.push_back(row);
     table.AddRow(std::move(row));
+  };
+  add_row("width_q", "all", width_q_ms, width_q_iterations);
+  for (std::size_t c = 0; c < q; ++c) {
+    add_row("width_1", std::to_string(c), width_1_ms[c],
+            width_1_iterations[c]);
   }
-  std::cout << "fit-engine comparison (dblp synthetic preset, " << hin.num_nodes()
-            << " nodes, prebuilt operators, min over "
-            << std::max(3, bench::BenchTimer::Repeats()) << " runs)\n";
+  std::cout << "fit-engine comparison (dblp synthetic preset, "
+            << hin.num_nodes() << " nodes, " << q
+            << " classes, prebuilt operators; one width-q fit vs each class "
+               "alone at width 1, alternating, "
+            << repeats << " rounds)\n";
   table.Print(std::cout);
   if (bench::BenchObsSession* session = bench::BenchObsSession::active()) {
     session->RecordTable(

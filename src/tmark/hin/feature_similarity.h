@@ -29,7 +29,7 @@ class FeatureSimilarity {
  public:
   /// Builds the operator from a non-negative n x d feature matrix. All
   /// kernels share the factorized form C = G G^T for a (kernel-dependent)
-  /// transformed feature matrix G, so Apply stays O(nnz(F)).
+  /// transformed feature matrix G, so ApplyPanel stays O(nnz(F)) per column.
   static FeatureSimilarity Build(
       const la::SparseMatrix& features,
       SimilarityKernel kernel = SimilarityKernel::kCosine);
@@ -47,23 +47,16 @@ class FeatureSimilarity {
 
   std::size_t num_nodes() const { return col_sums_.size(); }
 
-  /// Applies W to x (length n). Maps probability vectors to probability
-  /// vectors.
-  la::Vector Apply(const la::Vector& x) const;
-
-  /// Apply into a caller-owned vector, drawing the u/t intermediates and
-  /// scatter partials from `ws` (warm calls allocate nothing).
-  void ApplyInto(const la::Vector& x, la::PanelWorkspace* ws,
-                 la::Vector* y) const;
-
-  /// Panel form (la/panel.h): y(:, c) = W x(:, c) for c in [0, width),
-  /// streaming F_hat's structure once for all columns; bit-identical per
-  /// column to Apply. `ws` supplies the n x q and d x q scratch panels and
-  /// the scatter partials.
+  /// Applies W column-wise (la/panel.h): y(:, c) = W x(:, c) for c in
+  /// [0, width), streaming F_hat's structure once for all columns; a single
+  /// vector is a width-1 panel. Maps probability vectors to probability
+  /// vectors. `ws` supplies the n x q and d x q scratch panels and the
+  /// scatter partials.
   void ApplyPanel(const la::DenseMatrix& x, std::size_t width,
                   la::DenseMatrix* y, la::PanelWorkspace* ws) const;
 
-  /// W[i][j] materialized densely — small inputs / tests only.
+  /// W[i][j] materialized densely (ApplyPanel on the identity) — small
+  /// inputs / tests only.
   la::DenseMatrix Dense() const;
 
   /// Pairwise similarity under the chosen kernel (exact cosine for the

@@ -13,11 +13,11 @@
 // straight-line vector code with no runtime length or aliasing checks.
 //
 // Bit-identity by construction: blocking happens across *columns*, and
-// columns are independent per-class chains — no primitive ever combines
-// values from two different columns. Column c therefore sees exactly the
-// scalar operation sequence of the unblocked loop (and of the per-class
-// engine) at every block width, so batched == per_class survives
-// vectorization untouched (docs/PERFORMANCE.md).
+// columns are independent chains — no primitive ever combines values from
+// two different columns. Column c therefore sees exactly the scalar
+// operation sequence of the unblocked loop at every block width, the one
+// it sees at width 1 (the scalar tail) included, so width-q == width-1
+// survives vectorization untouched (docs/PERFORMANCE.md).
 //
 // All pointers reference runs of at least `width` doubles; distinct
 // pointer arguments must not alias (panel kernels pass disjoint rows or

@@ -1,19 +1,21 @@
 #ifndef TMARK_LA_PANEL_H_
 #define TMARK_LA_PANEL_H_
 
-// Multi-RHS "panel" support for the batched fit engine.
+// Multi-RHS "panel" support for the fixed-point engine
+// (core/panel_fixed_point.h).
 //
 // A panel is a row-major DenseMatrix whose leading `width` columns are
-// active: column c holds the vector of one independent per-class chain, and
-// the batched kernels (SparseMatrix::MatMulPanel, SparseTensor3::
+// active: column c holds the vector of one independent chain, and the
+// panel kernels (SparseMatrix::MatMulPanel, SparseTensor3::
 // ContractMode1Panel, ...) stream the sparse structure once while updating
-// all active columns with a contiguous inner loop. Every panel kernel
-// performs, per column, exactly the floating-point operations of its
-// single-vector counterpart in the same order, so batched results are
-// bit-identical to the per-class ones (docs/PERFORMANCE.md). The inner
-// column runs are executed by the register-blocked SIMD micro-kernels of
-// la/microkernel.h; blocking across columns never mixes columns, so the
-// guarantee survives vectorization.
+// all active columns with a contiguous inner loop. A single vector is a
+// width-1 panel. Every panel kernel performs, per column, the same
+// floating-point operations in the same order whatever the width, the
+// column stride or the other columns' values, so a column computed in a
+// width-q panel is bit-identical to the same column run alone at width 1
+// (docs/PERFORMANCE.md). The inner column runs are executed by the
+// register-blocked SIMD micro-kernels of la/microkernel.h; blocking across
+// columns never mixes columns, so the guarantee survives vectorization.
 //
 // PanelWorkspace owns the reusable scratch buffers (per-chunk partials for
 // the scatter/reduction kernels, small per-call accumulators) so a fit
@@ -91,11 +93,11 @@ void ExtractColumn(const DenseMatrix& panel, std::size_t col, Vector* out);
 /// panel(:, to) = panel(:, from) (the active-column compaction move).
 void MoveColumn(std::size_t from, std::size_t to, DenseMatrix* panel);
 
-// Fused per-iteration passes of the batched fit engine. Each replaces a
+// Fused per-iteration passes of the fixed-point engine. Each replaces a
 // sequence of the single-purpose sweeps above with one traversal of the
 // panels, performing per column exactly the same floating-point operations
 // in the same order — so fused results are bit-identical to the unfused
-// sequence (and hence to the per-class engine).
+// sequence.
 
 /// The fused x-combine pass:
 ///

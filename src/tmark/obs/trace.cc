@@ -68,16 +68,6 @@ TraceSpan::TraceSpan(std::string_view name) {
   parent_ = SpanStack::Swap(this);
 }
 
-TraceSpan::TraceSpan(std::string_view name, SpanNode* sink) : sink_(sink) {
-  Tracer& tracer = Tracer::Instance();
-  if (!tracer.enabled()) return;
-  active_ = true;
-  node_.name = std::string(name);
-  SampleCountersAtOpen();
-  node_.start_ms = tracer.NowMs();
-  parent_ = SpanStack::Swap(this);
-}
-
 void TraceSpan::SampleCountersAtOpen() {
   static_assert(kSpanCounters == prof::kNumCounters,
                 "SpanNode counter slots must match the profiler's");
@@ -101,18 +91,11 @@ TraceSpan::~TraceSpan() {
   node_.duration_ms = Tracer::Instance().NowMs() - node_.start_ms;
   SampleCountersAtClose();
   SpanStack::Swap(parent_);
-  if (sink_ != nullptr) {
-    *sink_ = std::move(node_);
-  } else if (parent_ != nullptr) {
+  if (parent_ != nullptr) {
     parent_->node_.children.push_back(std::move(node_));
   } else {
     Tracer::Instance().AddFinished(std::move(node_));
   }
-}
-
-void TraceSpan::AdoptChild(SpanNode child) {
-  if (!active_ || child.name.empty()) return;
-  node_.children.push_back(std::move(child));
 }
 
 void TraceSpan::AddField(std::string_view key, std::string_view value) {

@@ -110,14 +110,6 @@ class TraceSpan {
  public:
   explicit TraceSpan(std::string_view name);
 
-  /// Detached span for fork/join code: on destruction the finished node is
-  /// moved into *sink instead of being attached to a parent span or the
-  /// Tracer. A worker thread opens the span with the slot it owns as the
-  /// sink; after the join the coordinating thread stitches the slots back
-  /// under its own span with AdoptChild in a deterministic order. The sink
-  /// must outlive the span; when tracing is disabled *sink is untouched.
-  TraceSpan(std::string_view name, SpanNode* sink);
-
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;
@@ -135,12 +127,6 @@ class TraceSpan {
     AddField(key, std::string_view(value ? "true" : "false"));
   }
 
-  /// Appends an externally finished span (typically a sink-span filled on a
-  /// worker thread) as a child of this span. Call only after the producing
-  /// threads have joined; a node with an empty name (tracing was disabled
-  /// when the sink-span opened) is ignored.
-  void AdoptChild(SpanNode child);
-
  private:
   void SampleCountersAtOpen();
   void SampleCountersAtClose();
@@ -148,7 +134,6 @@ class TraceSpan {
   bool active_ = false;
   bool counters_active_ = false;  ///< Hardware counters sampled at open.
   TraceSpan* parent_ = nullptr;  ///< Innermost active span at open time.
-  SpanNode* sink_ = nullptr;     ///< Non-null for detached spans.
   std::array<std::uint64_t, kSpanCounters> counters_begin_{};
   SpanNode node_;
 };

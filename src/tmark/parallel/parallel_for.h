@@ -79,15 +79,6 @@ void ParallelForRanges(std::size_t count, std::size_t grain, Body&& body) {
                  });
 }
 
-/// Runs body(i) for every i in [0, count), chunked by `grain`.
-template <typename Body>
-void ParallelFor(std::size_t count, std::size_t grain, Body&& body) {
-  ParallelForRanges(count, grain,
-                    [&](std::size_t begin, std::size_t end) {
-                      for (std::size_t i = begin; i < end; ++i) body(i);
-                    });
-}
-
 /// Deterministic reduction: map(begin, end) produces one partial per chunk,
 /// combine folds the partials left-to-right in chunk order starting from
 /// `identity`. With one chunk this degenerates to

@@ -1,8 +1,5 @@
 #include "tmark/serve/query_engine.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "tmark/common/check.h"
 #include "tmark/obs/metrics.h"
 
@@ -17,21 +14,6 @@ PanelQueryEngine::PanelQueryEngine(QueryEngineOptions options)
   TMARK_CHECK(options.alpha + options.beta() <= 1.0 + 1e-12);
 }
 
-void PanelQueryEngine::EnsureCapacity(std::size_t n, std::size_t m,
-                                      std::size_t width) {
-  if (x_panel_.rows() != n || x_panel_.cols() < width) {
-    const std::size_t cols = std::max(width, x_panel_.cols());
-    x_panel_ = la::DenseMatrix(n, cols);
-    l_panel_ = la::DenseMatrix(n, cols);
-    x_next_ = la::DenseMatrix(n, cols);
-    wx_panel_ = la::DenseMatrix(n, cols);
-  }
-  if (z_panel_.rows() != m || z_panel_.cols() < x_panel_.cols()) {
-    z_panel_ = la::DenseMatrix(m, x_panel_.cols());
-    z_next_ = la::DenseMatrix(m, x_panel_.cols());
-  }
-}
-
 void PanelQueryEngine::Run(const core::PreparedOperators& ops,
                            const std::vector<std::size_t>& seeds,
                            std::vector<SeedQueryResult>* results) {
@@ -42,82 +24,41 @@ void PanelQueryEngine::Run(const core::PreparedOperators& ops,
 
   const std::size_t n = ops.num_nodes();
   const std::size_t m = ops.num_relations();
-  const tensor::TransitionTensors& tensors = ops.tensors();
-  const hin::FeatureSimilarity& similarity = ops.similarity();
-  const double alpha = options_.alpha;
-  const double beta = options_.beta();
-  const double rel_weight = 1.0 - alpha - beta;
-
-  EnsureCapacity(n, m, seeds.size());
-  std::size_t width = seeds.size();
-  slot_result_.resize(width);
+  engine_.Reset(n, m, seeds.size());
   const double uniform_z = 1.0 / static_cast<double>(m);
-  for (std::size_t s = 0; s < width; ++s) {
+  for (std::size_t s = 0; s < seeds.size(); ++s) {
     const std::size_t seed = seeds[s];
     TMARK_CHECK_MSG(seed < n, "seed out of range");
-    slot_result_[s] = s;
     // Restart vector and starting point: all mass on the seed node.
     for (std::size_t i = 0; i < n; ++i) {
       const double e = i == seed ? 1.0 : 0.0;
-      l_panel_.At(i, s) = e;
-      x_panel_.At(i, s) = e;
+      engine_.restart().At(i, s) = e;
+      engine_.start_x().At(i, s) = e;
     }
-    for (std::size_t k = 0; k < m; ++k) z_panel_.At(k, s) = uniform_z;
+    for (std::size_t k = 0; k < m; ++k) engine_.start_z().At(k, s) = uniform_z;
   }
 
-  // Same per-iteration pass structure as TMarkClassifier::FitBatched, sans
-  // the ICA refresh: the bit-identity argument in la/panel.h carries over
-  // unchanged, which is what makes coalescing invisible to clients.
-  for (int t = 1; t <= options_.max_iterations && width > 0; ++t) {
-    tensors.ApplyOPanel(x_panel_, z_panel_, width, &x_next_, &ws_);
-    similarity.ApplyPanel(x_panel_, width, &wx_panel_, &ws_);
-    la::FusedCombineColumns(rel_weight, beta, wx_panel_, alpha, l_panel_,
-                            width, &x_next_, &x_sums_);
-    tensors.ApplyRPanel(x_next_, x_next_, width, &z_next_, &ws_, &x_sums_,
-                        &x_sums_, &z_sums_);
-    la::FusedNormalizeDistanceColumns(&x_sums_, x_panel_, width, &x_next_,
-                                      &rho_x_);
-    la::FusedNormalizeDistanceColumns(&z_sums_, z_panel_, width, &z_next_,
-                                      &rho_z_);
-    std::swap(x_panel_, x_next_);
-    std::swap(z_panel_, z_next_);
-    obs::IncrCounter("serve.query.iterations",
-                     static_cast<std::int64_t>(width));
-
-    // Retire converged columns by compaction (la/panel.h MoveColumn): the
-    // surviving columns' values are untouched, so retirement order cannot
-    // leak into any other query's answer.
-    std::size_t s = 0;
-    while (s < width) {
-      SeedQueryResult& result = (*results)[slot_result_[s]];
-      ++result.iterations;
-      if (rho_x_[s] + rho_z_[s] < options_.epsilon) {
-        result.converged = true;
-        la::ExtractColumn(x_panel_, s, &result.x);
-        la::ExtractColumn(z_panel_, s, &result.z);
-        const std::size_t last = width - 1;
-        if (s != last) {
-          la::MoveColumn(last, s, &x_panel_);
-          la::MoveColumn(last, s, &z_panel_);
-          la::MoveColumn(last, s, &l_panel_);
-          slot_result_[s] = slot_result_[last];
-          rho_x_[s] = rho_x_[last];
-          rho_z_[s] = rho_z_[last];
-        }
-        --width;
-      } else {
-        ++s;
-      }
-    }
+  core::PanelFixedPoint::Options options;
+  options.alpha = options_.alpha;
+  options.beta = options_.beta();
+  options.epsilon = options_.epsilon;
+  options.max_iterations = options_.max_iterations;
+  // No restart refresh: there is no class to refresh toward.
+  engine_.Run(ops, options,
+              [results](std::size_t chain, const la::DenseMatrix& x,
+                        const la::DenseMatrix& z, std::size_t slot) {
+                SeedQueryResult& result = (*results)[chain];
+                la::ExtractColumn(x, slot, &result.x);
+                la::ExtractColumn(z, slot, &result.z);
+              });
+  std::int64_t iterations = 0;
+  for (std::size_t s = 0; s < seeds.size(); ++s) {
+    SeedQueryResult& result = (*results)[s];
+    result.iterations = engine_.residuals(s).size();
+    result.converged = engine_.converged(s);
+    iterations += static_cast<std::int64_t>(result.iterations);
   }
-
-  // Columns that hit the iteration cap: hand back the best available
-  // state, flagged unconverged.
-  for (std::size_t s = 0; s < width; ++s) {
-    SeedQueryResult& result = (*results)[slot_result_[s]];
-    la::ExtractColumn(x_panel_, s, &result.x);
-    la::ExtractColumn(z_panel_, s, &result.z);
-  }
+  obs::IncrCounter("serve.query.iterations", iterations);
 }
 
 }  // namespace tmark::serve

@@ -11,24 +11,19 @@
 // the same two headline outputs the paper reports per class, specialized
 // to one walker.
 //
-// The perf point: a batch of seeds advances on one row-major n x width
-// panel through the same fused kernels as the batched fit engine
-// (ApplyOPanel -> ApplyPanel + FusedCombineColumns -> ApplyRPanel ->
-// FusedNormalizeDistanceColumns), so each sparse structure is streamed
-// once per iteration for the whole batch and serving cost scales with
-// panel width. Every panel kernel performs, per column, exactly the
-// floating-point operations of its single-vector counterpart in the same
-// order (la/panel.h), and converged columns retire by compaction without
-// touching their neighbors — so a query's answer is bit-identical no
-// matter which batch the scheduler coalesced it into (pinned by
-// tests/serve/batcher_test.cc).
+// The perf point: a batch of seeds runs as the columns of one
+// core::PanelFixedPoint — the engine the fit uses — so each sparse
+// structure is streamed once per iteration for the whole batch and serving
+// cost scales with panel width. A chain's answer is bit-identical whatever
+// its panel width, position or neighbours (core/panel_fixed_point.h), so a
+// query's answer does not depend on which batch the scheduler coalesced it
+// into (pinned by tests/serve/batcher_test.cc).
 
 #include <cstddef>
 #include <vector>
 
+#include "tmark/core/panel_fixed_point.h"
 #include "tmark/core/prepared_operators.h"
-#include "tmark/la/dense_matrix.h"
-#include "tmark/la/panel.h"
 #include "tmark/la/vector_ops.h"
 
 namespace tmark::serve {
@@ -68,23 +63,9 @@ class PanelQueryEngine {
            std::vector<SeedQueryResult>* results);
 
  private:
-  /// (Re)sizes the panel buffers for `n` x `m` operators at `width`
-  /// columns; keeps capacity across batches of the same shape.
-  void EnsureCapacity(std::size_t n, std::size_t m, std::size_t width);
-
   QueryEngineOptions options_;
-  la::PanelWorkspace ws_;
-  la::DenseMatrix x_panel_;
-  la::DenseMatrix z_panel_;
-  la::DenseMatrix l_panel_;
-  la::DenseMatrix x_next_;
-  la::DenseMatrix z_next_;
-  la::DenseMatrix wx_panel_;
-  std::vector<std::size_t> slot_result_;
-  la::Vector rho_x_;
-  la::Vector rho_z_;
-  la::Vector x_sums_;
-  la::Vector z_sums_;
+  /// Kept across batches, so its panels keep their capacity.
+  core::PanelFixedPoint engine_;
 };
 
 }  // namespace tmark::serve

@@ -11,8 +11,8 @@
 namespace tmark::tensor {
 namespace {
 
-// Row grain for the mode-1 contraction; small inputs collapse to a single
-// chunk and run the exact serial loop on the calling thread.
+// Row grain for the mode-1 contraction at width 1; small inputs collapse to
+// a single chunk and run the exact serial loop on the calling thread.
 constexpr std::size_t kContractRowGrain = 512;
 
 }  // namespace
@@ -418,56 +418,6 @@ bool SparseTensor3::IsConnectedAggregate() const {
   return count == n_;
 }
 
-la::Vector SparseTensor3::ContractMode1(const la::Vector& x,
-                                        const la::Vector& z) const {
-  la::Vector y;
-  ContractMode1Into(x, z, &y);
-  return y;
-}
-
-void SparseTensor3::ContractMode1Into(const la::Vector& x, const la::Vector& z,
-                                      la::Vector* y) const {
-  TMARK_PROF_REGION("tensor.contract.mode1");
-  TMARK_CHECK(y != nullptr && x.size() == n_ && z.size() == m_);
-  y->assign(n_, 0.0);
-  // Row-partitioned: each row accumulates its per-slice contributions in
-  // ascending k, exactly the per-element order of the serial k-outer loop,
-  // and rows are disjoint — bit-identical at any thread count.
-  parallel::ParallelForRanges(
-      n_, kContractRowGrain, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t k = 0; k < m_; ++k) {
-          const double zk = z[k];
-          if (zk == 0.0) continue;
-          const la::SparseMatrix& s = slices_[k];
-          for (std::size_t i = begin; i < end; ++i) {
-            double acc = 0.0;
-            for (std::size_t p = s.row_ptr()[i]; p < s.row_ptr()[i + 1]; ++p) {
-              acc += s.values()[p] * x[s.col_idx()[p]];
-            }
-            (*y)[i] += zk * acc;
-          }
-        }
-      });
-}
-
-la::Vector SparseTensor3::ContractMode3(const la::Vector& x,
-                                        const la::Vector& y) const {
-  la::Vector w;
-  ContractMode3Into(x, y, &w);
-  return w;
-}
-
-void SparseTensor3::ContractMode3Into(const la::Vector& x, const la::Vector& y,
-                                      la::Vector* w) const {
-  TMARK_PROF_REGION("tensor.contract.mode3");
-  TMARK_CHECK(w != nullptr && x.size() == n_ && y.size() == n_);
-  w->resize(m_);
-  // One independent bilinear form per slice; w entries are disjoint.
-  parallel::ParallelFor(m_, /*grain=*/1, [&](std::size_t k) {
-    (*w)[k] = slices_[k].Bilinear(x, y);
-  });
-}
-
 void SparseTensor3::ContractMode1Panel(const la::DenseMatrix& x,
                                        const la::DenseMatrix& z,
                                        std::size_t width,
@@ -478,17 +428,16 @@ void SparseTensor3::ContractMode1Panel(const la::DenseMatrix& x,
   TMARK_CHECK(x.rows() == n_ && z.rows() == m_ && y->rows() == n_);
   TMARK_CHECK(x.cols() == y->cols() && z.cols() == x.cols());
   TMARK_CHECK(width <= x.cols());
-  // Walks the merged row-major view: per row i, segments ascending in k —
-  // exactly the per-element order of the single-vector k-outer loop
-  // (regrouping the traversal changes which entries stream together, never
-  // the order the per-slice terms z(k, c) * acc are added to y(i, c)). A
-  // segment is skipped when every active z(k, :) entry is zero — the same
-  // predicate the hoisted per-slice check applies, precomputed once per
-  // call into a liveness table — and rows/slices without stored entries
-  // have no segments at all: the skipped contribution is z(k, c) * 0.0, and
-  // a Zero-initialized accumulator can never hold -0.0 (IEEE:
-  // +0.0 + -0.0 == +0.0 and a + (-a) == +0.0), so adding the +-0.0 term is
-  // a bit-level no-op. The merged view turns the m interleaved CSR row
+  // Walks the merged row-major view: per row i, segments ascending in k, so
+  // the per-slice terms z(k, c) * acc are added to y(i, c) in ascending k.
+  // A segment is skipped when every active z(k, :) entry is zero —
+  // precomputed once per call into a liveness table — and rows/slices
+  // without stored entries have no segments at all: the skipped
+  // contribution is z(k, c) * 0.0, and a Zero-initialized accumulator can
+  // never hold -0.0 (IEEE: +0.0 + -0.0 == +0.0 and a + (-a) == +0.0), so
+  // adding the +-0.0 term is a bit-level no-op — which is also why a column
+  // gets the same bits whether or not its neighbours keep a segment live.
+  // The merged view turns the m interleaved CSR row
   // probes per row — what the m ~= 20-relation presets are bound by — into
   // one contiguous stream. Output rows are disjoint, so the fixed row-chunk
   // grid is bit-identical at any thread count.
@@ -542,10 +491,8 @@ void SparseTensor3::ContractMode3Panel(const la::DenseMatrix& x,
   // hoists out of the slice loop (once per row, not once per (slice, row))
   // and the per-row segment walk replaces m interleaved CSR row probes with
   // one contiguous stream — what the m ~= 20-relation presets are bound by.
-  // Bit-identity with the per-slice BilinearPanel results holds element for
-  // element: per slice k the partial w(k, c) accumulates over rows in the
-  // same ascending order, the chunk boundaries reuse BilinearPanel's exact
-  // reduce grain so the per-chunk partial-sum folds group identically, and
+  // Per slice k the partial w(k, c) accumulates over rows in ascending
+  // order, the chunk boundaries reuse BilinearPanel's reduce grain, and
   // rows without stored entries in a slice have no segment: the skipped
   // xrow[c] * 0.0 term cannot change a Zero-initialized accumulator (which
   // can never hold -0.0; IEEE +0.0 + -0.0 == +0.0 and a + (-a) == +0.0).

@@ -70,27 +70,12 @@ class SparseTensor3 {
   /// a practical proxy for the irreducibility assumption of Sec. 3.1.
   bool IsConnectedAggregate() const;
 
-  /// mode-1 contraction: y_i = sum_{j,k} A[i,j,k] * x[j] * z[k]
-  /// (the paper's A x1_bar x x3_bar z). Requires |x| = n and |z| = m.
-  la::Vector ContractMode1(const la::Vector& x, const la::Vector& z) const;
-
-  /// ContractMode1 into a caller-owned vector (warm calls allocate nothing).
-  void ContractMode1Into(const la::Vector& x, const la::Vector& z,
-                         la::Vector* y) const;
-
-  /// mode-3 contraction: w_k = sum_{i,j} A[i,j,k] * x[i] * y[j]
-  /// (the paper's A x1_bar x x2_bar y with x applied on mode 1 and y on
-  /// mode 2). Requires |x| = |y| = n.
-  la::Vector ContractMode3(const la::Vector& x, const la::Vector& y) const;
-
-  /// ContractMode3 into a caller-owned vector (warm calls allocate nothing).
-  void ContractMode3Into(const la::Vector& x, const la::Vector& y,
-                         la::Vector* w) const;
-
   // Multi-RHS panel kernels (la/panel.h): one structure pass over the
-  // stored slices updates the leading `width` columns of the output panel,
-  // bit-identical per column to the single-vector contractions.
+  // stored slices updates the leading `width` columns of the output panel.
+  // A single vector is a width-1 panel; every column is computed the same
+  // way at any width.
 
+  /// mode-1 contraction (the paper's A x1_bar x x3_bar z), column-wise:
   /// y(i, c) = sum_{j,k} A[i,j,k] * x(j, c) * z(k, c) for c in [0, width).
   /// Requires x: n rows, z: m rows, y: n rows, all with equal column
   /// strides >= width. `ws` backs the per-chunk accumulator scratch.
@@ -98,6 +83,8 @@ class SparseTensor3 {
                           std::size_t width, la::DenseMatrix* y,
                           la::PanelWorkspace* ws) const;
 
+  /// mode-3 contraction (the paper's A x1_bar x x2_bar y, x on mode 1 and
+  /// y on mode 2), column-wise:
   /// w(k, c) = sum_{i,j} A[i,j,k] * x(i, c) * y(j, c) for c in [0, width).
   /// Requires x, y: n rows, w: m rows. `ws` backs the per-slice bilinear
   /// reduction partials.
@@ -128,7 +115,7 @@ class SparseTensor3 {
   // both, replacing m interleaved CSR row probes per row with a single
   // sequential walk (the m ~= 20-relation presets are bound by exactly that
   // probing). The entry values duplicate the slices' storage; the slices
-  // stay authoritative for the single-vector kernels and Slice() readers.
+  // stay authoritative for Slice() readers and the incremental patches.
   // Offsets live in adaptive-width IndexArrays (32-bit whenever the segment
   // / entry counts permit — la/index_array.h), roughly halving structure
   // bytes at million-node scale.

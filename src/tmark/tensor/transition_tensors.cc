@@ -282,53 +282,6 @@ std::size_t TransitionTensors::ApplyPatch(
   return rows_touched;
 }
 
-la::Vector TransitionTensors::ApplyO(const la::Vector& x,
-                                     const la::Vector& z) const {
-  la::Vector y;
-  ApplyOInto(x, z, &y);
-  return y;
-}
-
-void TransitionTensors::ApplyOInto(const la::Vector& x, const la::Vector& z,
-                                   la::Vector* y) const {
-  TMARK_PROF_REGION("tensor.apply_o");
-  TMARK_CHECK(y != nullptr && x.size() == n_ && z.size() == m_);
-  o_.ContractMode1Into(x, z, y);
-  // Dangling correction: every empty column (j,k) contributes
-  // x_j * z_k * (1/n) to every output coordinate.
-  double dangling_mass = 0.0;
-  for (std::size_t k = 0; k < m_; ++k) {
-    if (dangling_cols_[k].empty() || z[k] == 0.0) continue;
-    double colsum = 0.0;
-    for (std::uint32_t j : dangling_cols_[k]) colsum += x[j];
-    dangling_mass += z[k] * colsum;
-  }
-  if (dangling_mass != 0.0) {
-    const double add = dangling_mass / static_cast<double>(n_);
-    for (double& v : *y) v += add;
-  }
-}
-
-la::Vector TransitionTensors::ApplyR(const la::Vector& x,
-                                     const la::Vector& y) const {
-  la::Vector w;
-  ApplyRInto(x, y, &w);
-  return w;
-}
-
-void TransitionTensors::ApplyRInto(const la::Vector& x, const la::Vector& y,
-                                   la::Vector* w) const {
-  TMARK_PROF_REGION("tensor.apply_r");
-  TMARK_CHECK(w != nullptr && x.size() == n_ && y.size() == n_);
-  r_.ContractMode3Into(x, y, w);
-  // Dangling correction: unlinked (i,j) pairs carry the uniform fiber 1/m.
-  // sum_{unlinked} x_i y_j = Sum(x) * Sum(y) - sum_{linked} x_i y_j.
-  const double linked = linked_mask_.Bilinear(x, y);
-  const double unlinked = la::Sum(x) * la::Sum(y) - linked;
-  const double add = unlinked / static_cast<double>(m_);
-  for (double& v : *w) v += add;
-}
-
 void TransitionTensors::ApplyOPanel(const la::DenseMatrix& x,
                                     const la::DenseMatrix& z,
                                     std::size_t width, la::DenseMatrix* y,
@@ -338,10 +291,11 @@ void TransitionTensors::ApplyOPanel(const la::DenseMatrix& x,
   TMARK_CHECK(x.rows() == n_ && z.rows() == m_ && y->rows() == n_);
   TMARK_CHECK(width <= x.cols());
   o_.ContractMode1Panel(x, z, width, y, ws);
-  // Dangling correction, column-wise: per column the per-relation terms
-  // z(k, c) * colsum accumulate in ascending k and each colsum in ascending
-  // dangling-node order — the exact ApplyO sequence. A column with
-  // z(k, c) == 0 picks up a 0 * colsum term, leaving its mass unchanged.
+  // Dangling correction: every empty column (j,k) contributes
+  // x_j * z_k * (1/n) to every output coordinate. Per column the
+  // per-relation terms z(k, c) * colsum accumulate in ascending k and each
+  // colsum in ascending dangling-node order. A column with z(k, c) == 0
+  // picks up a 0 * colsum term, leaving its mass unchanged.
   la::Vector& mass = ws->Buffer(0, width);
   la::Vector& colsum = ws->Buffer(1, width);
   for (std::size_t k = 0; k < m_; ++k) {
@@ -355,7 +309,7 @@ void TransitionTensors::ApplyOPanel(const la::DenseMatrix& x,
     la::mk::MulAdd(mass.data(), zrow, colsum.data(), width);
   }
   if (!la::mk::AnyNonZero(mass.data(), width)) return;
-  // Columns with zero mass receive a + 0.0 — the value ApplyO's skip keeps.
+  // Columns with zero mass receive a + 0.0, which leaves them unchanged.
   for (std::size_t c = 0; c < width; ++c) {
     mass[c] /= static_cast<double>(n_);
   }
@@ -378,8 +332,10 @@ void TransitionTensors::ApplyRPanel(const la::DenseMatrix& x,
   TMARK_CHECK(x_sums == nullptr || x_sums->size() >= width);
   TMARK_CHECK(y_sums == nullptr || y_sums->size() >= width);
   r_.ContractMode3Panel(x, y, width, w, ws);
-  // Dangling-fiber correction per column, same formula as ApplyR:
-  // add = (Sum(x) * Sum(y) - linked) / m, applied to every w entry. The
+  // Dangling-fiber correction per column: unlinked (i,j) pairs carry the
+  // uniform fiber 1/m, and sum_{unlinked} x_i y_j = Sum(x) * Sum(y) -
+  // sum_{linked} x_i y_j, so add = (Sum(x) * Sum(y) - linked) / m goes to
+  // every w entry. The
   // column sums come from the caller when it already has them (the fused
   // combine pass accumulates them in the same ascending row order).
   la::Vector& add = ws->Buffer(0, width);

@@ -35,40 +35,30 @@ class TransitionTensors {
   std::size_t num_nodes() const { return n_; }
   std::size_t num_relations() const { return m_; }
 
-  /// The contraction (O x1_bar x x3_bar z)_i = sum_{j,k} O[i,j,k] x_j z_k,
-  /// including the dangling-column correction. When x and z are probability
-  /// vectors the result is again a probability vector (Theorem 1).
-  la::Vector ApplyO(const la::Vector& x, const la::Vector& z) const;
+  // Contractions in panel form (la/panel.h): one structure pass for all
+  // leading `width` columns, including the implicit dangling corrections
+  // column-wise. A single vector is a width-1 panel.
 
-  /// ApplyO into a caller-owned vector (warm calls allocate nothing).
-  void ApplyOInto(const la::Vector& x, const la::Vector& z,
-                  la::Vector* y) const;
-
-  /// The contraction (R x1_bar x x2_bar y)_k = sum_{i,j} R[i,j,k] x_i y_j,
-  /// including the dangling-fiber correction. The paper's Eq. (8) uses
-  /// y = x; the two-argument form also supports the general bilinear case.
-  la::Vector ApplyR(const la::Vector& x, const la::Vector& y) const;
-
-  /// ApplyR into a caller-owned vector (warm calls allocate nothing).
-  void ApplyRInto(const la::Vector& x, const la::Vector& y,
-                  la::Vector* w) const;
-
-  // Panel forms (la/panel.h): one structure pass for all leading `width`
-  // columns, including the implicit dangling corrections column-wise;
-  // bit-identical per column to ApplyO / ApplyR.
-
-  /// y(:, c) = O x1 x(:, c) x3 z(:, c) for c in [0, width).
+  /// The contraction (O x1_bar x x3_bar z)_i = sum_{j,k} O[i,j,k] x_j z_k
+  /// per column, including the dangling-column correction: y(:, c) =
+  /// O x1 x(:, c) x3 z(:, c) for c in [0, width). When x and z are
+  /// probability vectors the result is again a probability vector
+  /// (Theorem 1).
   void ApplyOPanel(const la::DenseMatrix& x, const la::DenseMatrix& z,
                    std::size_t width, la::DenseMatrix* y,
                    la::PanelWorkspace* ws) const;
 
-  /// w(:, c) = R x1 x(:, c) x2 y(:, c) for c in [0, width).
+  /// The contraction (R x1_bar x x2_bar y)_k = sum_{i,j} R[i,j,k] x_i y_j
+  /// per column, including the dangling-fiber correction: w(:, c) =
+  /// R x1 x(:, c) x2 y(:, c) for c in [0, width). The paper's Eq. (8) uses
+  /// y = x; the two-argument form also supports the general bilinear case.
   ///
-  /// The optional sum arguments let the fused fit engine avoid extra panel
-  /// sweeps: `x_sums` / `y_sums`, when non-null, supply the leading column
-  /// sums of x / y (they MUST equal la::LeadingColumnSums of the panel —
-  /// i.e. be accumulated in ascending row order — for bit-identity; the
-  /// fused combine pass produces exactly that). `w_sums`, when non-null,
+  /// The optional sum arguments let the fixed-point engine avoid extra
+  /// panel sweeps: `x_sums` / `y_sums`, when non-null, supply the leading
+  /// column sums of x / y (they MUST equal la::LeadingColumnSums of the
+  /// panel — i.e. be accumulated in ascending row order — for
+  /// bit-identity; the fused combine pass produces exactly that).
+  /// `w_sums`, when non-null,
   /// receives the leading column sums of the finished w, accumulated in
   /// ascending k order during the final correction sweep — the same order
   /// la::LeadingColumnSums / la::Sum would read them.

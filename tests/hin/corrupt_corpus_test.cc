@@ -4,6 +4,7 @@
 // This binary carries the `sanitize` ctest label so the corpus also runs
 // under TMARK_SANITIZE=address builds.
 
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -28,6 +29,10 @@ struct HinCase {
   const char* file;
   StatusCode expected;
 };
+
+// Names the case after its fixture in gtest output (and so in the ctest
+// test names), instead of the raw bytes of the struct.
+void PrintTo(const HinCase& c, std::ostream* os) { *os << c.file; }
 
 class CorruptHinCorpusTest : public ::testing::TestWithParam<HinCase> {};
 
@@ -66,6 +71,10 @@ struct DeltaCase {
   StatusCode expected;
 };
 
+// Names the case after its fixture in gtest output (and so in the ctest
+// test names), instead of the raw bytes of the struct.
+void PrintTo(const DeltaCase& c, std::ostream* os) { *os << c.file; }
+
 class CorruptDeltaCorpusTest : public ::testing::TestWithParam<DeltaCase> {};
 
 TEST_P(CorruptDeltaCorpusTest, YieldsExpectedStatus) {
@@ -101,6 +110,10 @@ struct ModelCase {
   const char* file;
   StatusCode expected;
 };
+
+// Names the case after its fixture in gtest output (and so in the ctest
+// test names), instead of the raw bytes of the struct.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.file; }
 
 class CorruptModelCorpusTest : public ::testing::TestWithParam<ModelCase> {};
 

@@ -1,11 +1,15 @@
 #include "tmark/hin/feature_similarity.h"
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "tmark/common/check.h"
 #include "tmark/common/random.h"
+#include "tmark/la/dense_matrix.h"
+#include "tmark/la/panel.h"
 #include "tmark/la/vector_ops.h"
 
 namespace tmark::hin {
@@ -25,6 +29,11 @@ la::SparseMatrix RandomFeatures(std::size_t n, std::size_t d, double density,
   }
   return la::SparseMatrix::FromTriplets(n, d, std::move(trips));
 }
+
+// Panels two columns wider than the width under test, so a kernel that
+// read or wrote past the leading `width` columns, or mixed up the column
+// stride with the width, would show.
+constexpr std::size_t kExtraColumns = 2;
 
 TEST(FeatureSimilarityTest, CosineOfIdenticalRowsIsOne) {
   const la::SparseMatrix f = la::SparseMatrix::FromTriplets(
@@ -62,12 +71,29 @@ TEST(FeatureSimilarityTest, ApplyMatchesDense) {
   Rng rng(6);
   const FeatureSimilarity sim =
       FeatureSimilarity::Build(RandomFeatures(11, 7, 0.4, &rng));
-  la::Vector x(11);
-  for (double& v : x) v = rng.Uniform(0.0, 1.0);
-  const la::Vector fast = sim.Apply(x);
-  const la::Vector slow = sim.Dense().MatVec(x);
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_NEAR(fast[i], slow[i], 1e-10);
+  const la::DenseMatrix dense = sim.Dense();
+  for (const std::size_t width : {1u, 3u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    const std::size_t stride = width + kExtraColumns;
+    la::DenseMatrix x(11, stride);
+    for (std::size_t i = 0; i < 11; ++i) {
+      for (std::size_t c = 0; c < stride; ++c) {
+        x.At(i, c) = rng.Uniform(0.0, 1.0);
+      }
+    }
+    la::DenseMatrix y(11, stride, -1.0);
+    la::PanelWorkspace ws;
+    sim.ApplyPanel(x, width, &y, &ws);
+    for (std::size_t c = 0; c < stride; ++c) {
+      if (c >= width) {
+        for (std::size_t i = 0; i < 11; ++i) EXPECT_EQ(y.At(i, c), -1.0);
+        continue;
+      }
+      const la::Vector slow = dense.MatVec(x.Col(c));
+      for (std::size_t i = 0; i < 11; ++i) {
+        EXPECT_NEAR(y.At(i, c), slow[i], 1e-10);
+      }
+    }
   }
 }
 
@@ -75,10 +101,22 @@ TEST(FeatureSimilarityTest, ApplyPreservesSimplex) {
   Rng rng(7);
   const FeatureSimilarity sim =
       FeatureSimilarity::Build(RandomFeatures(15, 8, 0.3, &rng));
-  la::Vector x = la::UniformProbability(15);
-  for (int step = 0; step < 4; ++step) {
-    x = sim.Apply(x);
-    EXPECT_TRUE(la::IsProbabilityVector(x, 1e-9));
+  for (const std::size_t width : {1u, 3u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    const std::size_t stride = width + kExtraColumns;
+    la::DenseMatrix x(15, stride);
+    for (std::size_t c = 0; c < stride; ++c) {
+      la::SetColumn(la::UniformProbability(15), c, &x);
+    }
+    la::DenseMatrix y(15, stride);
+    la::PanelWorkspace ws;
+    for (int step = 0; step < 4; ++step) {
+      sim.ApplyPanel(x, width, &y, &ws);
+      std::swap(x, y);
+      for (std::size_t c = 0; c < width; ++c) {
+        EXPECT_TRUE(la::IsProbabilityVector(x.Col(c), 1e-9));
+      }
+    }
   }
 }
 
@@ -89,11 +127,20 @@ TEST(FeatureSimilarityTest, ZeroFeatureNodeIsDanglingUniform) {
   const FeatureSimilarity sim = FeatureSimilarity::Build(f);
   ASSERT_EQ(sim.dangling_nodes().size(), 1u);
   EXPECT_EQ(sim.dangling_nodes()[0], 2u);
-  // All of node 2's mass is spread uniformly.
-  la::Vector e(3, 0.0);
-  e[2] = 1.0;
-  const la::Vector y = sim.Apply(e);
-  for (double v : y) EXPECT_NEAR(v, 1.0 / 3.0, 1e-12);
+  // All of node 2's mass is spread uniformly, in every active column.
+  for (const std::size_t width : {1u, 3u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    la::DenseMatrix e(3, width + kExtraColumns);
+    for (std::size_t c = 0; c < e.cols(); ++c) e.At(2, c) = 1.0;
+    la::DenseMatrix y(3, e.cols());
+    la::PanelWorkspace ws;
+    sim.ApplyPanel(e, width, &y, &ws);
+    for (std::size_t c = 0; c < width; ++c) {
+      for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_NEAR(y.At(i, c), 1.0 / 3.0, 1e-12);
+      }
+    }
+  }
 }
 
 TEST(FeatureSimilarityTest, MatchesPaperExampleW) {

@@ -1,11 +1,15 @@
 #include "tmark/hin/similarity_kernel.h"
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "tmark/common/check.h"
 #include "tmark/hin/feature_similarity.h"
+#include "tmark/la/dense_matrix.h"
+#include "tmark/la/panel.h"
 #include "tmark/la/vector_ops.h"
 
 namespace tmark::hin {
@@ -61,31 +65,61 @@ TEST(SimilarityKernelTest, TfIdfDownweightsUbiquitousWords) {
   EXPECT_NEAR(tfidf.Cosine(0, 1), 1.0, 1e-12);
 }
 
+// Panels two columns wider than the width under test, so a kernel that
+// read or wrote past the leading `width` columns would show.
+constexpr std::size_t kExtraColumns = 2;
+
 TEST(SimilarityKernelTest, AllKernelsPreserveSimplex) {
   const la::SparseMatrix f = CountFeatures();
   for (SimilarityKernel kernel :
        {SimilarityKernel::kCosine, SimilarityKernel::kBinaryCosine,
         SimilarityKernel::kTfIdfCosine, SimilarityKernel::kDotProduct}) {
     const FeatureSimilarity sim = FeatureSimilarity::Build(f, kernel);
-    la::Vector x = la::UniformProbability(3);
-    for (int step = 0; step < 3; ++step) {
-      x = sim.Apply(x);
-      EXPECT_TRUE(la::IsProbabilityVector(x, 1e-9)) << ToString(kernel);
+    for (const std::size_t width : {1u, 3u}) {
+      SCOPED_TRACE("width " + std::to_string(width));
+      const std::size_t stride = width + kExtraColumns;
+      la::DenseMatrix x(3, stride);
+      for (std::size_t c = 0; c < stride; ++c) {
+        la::SetColumn(la::UniformProbability(3), c, &x);
+      }
+      la::DenseMatrix y(3, stride);
+      la::PanelWorkspace ws;
+      for (int step = 0; step < 3; ++step) {
+        sim.ApplyPanel(x, width, &y, &ws);
+        std::swap(x, y);
+        for (std::size_t c = 0; c < width; ++c) {
+          EXPECT_TRUE(la::IsProbabilityVector(x.Col(c), 1e-9))
+              << ToString(kernel);
+        }
+      }
     }
   }
 }
 
 TEST(SimilarityKernelTest, ApplyMatchesDenseForAllKernels) {
   const la::SparseMatrix f = CountFeatures();
+  const la::Vector columns[] = {{0.2, 0.5, 0.3}, {0.7, 0.1, 0.2},
+                                {0.0, 0.0, 1.0}};
   for (SimilarityKernel kernel :
        {SimilarityKernel::kCosine, SimilarityKernel::kBinaryCosine,
         SimilarityKernel::kTfIdfCosine, SimilarityKernel::kDotProduct}) {
     const FeatureSimilarity sim = FeatureSimilarity::Build(f, kernel);
-    const la::Vector x = {0.2, 0.5, 0.3};
-    const la::Vector fast = sim.Apply(x);
-    const la::Vector slow = sim.Dense().MatVec(x);
-    for (std::size_t i = 0; i < 3; ++i) {
-      EXPECT_NEAR(fast[i], slow[i], 1e-10) << ToString(kernel);
+    const la::DenseMatrix dense = sim.Dense();
+    for (const std::size_t width : {1u, 3u}) {
+      SCOPED_TRACE("width " + std::to_string(width));
+      la::DenseMatrix x(3, width + kExtraColumns);
+      for (std::size_t c = 0; c < width; ++c) {
+        la::SetColumn(columns[c], c, &x);
+      }
+      la::DenseMatrix y(3, x.cols());
+      la::PanelWorkspace ws;
+      sim.ApplyPanel(x, width, &y, &ws);
+      for (std::size_t c = 0; c < width; ++c) {
+        const la::Vector slow = dense.MatVec(columns[c]);
+        for (std::size_t i = 0; i < 3; ++i) {
+          EXPECT_NEAR(y.At(i, c), slow[i], 1e-10) << ToString(kernel);
+        }
+      }
     }
   }
 }

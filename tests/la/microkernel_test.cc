@@ -5,8 +5,8 @@
 // width — including odd/tail widths that exercise the 4/2/1 blocks — and must
 // never touch memory at or beyond `width` (panels have live inactive columns
 // there). The fused panel passes must equal the unfused sweep sequence
-// exactly: these equivalences are what lets the batched engine stay
-// bit-identical to the per-class engine after vectorization and fusion.
+// exactly: these equivalences are what keeps a column of a width-q engine
+// panel bit-identical to its width-1 run after vectorization and fusion.
 
 #include <gtest/gtest.h>
 

@@ -1,8 +1,9 @@
-// Steady-state allocation discipline: every hot-loop kernel of the fit
-// engines — the Into variants, the multi-RHS panel kernels, and the fused
-// panel passes — must allocate NOTHING once its outputs and workspace are
-// warm. The fit loops call these kernels every iteration; a per-call
-// allocation there is a perf bug this test turns into a failure.
+// Steady-state allocation discipline: every hot-loop kernel of the
+// fixed-point engine — the multi-RHS panel kernels, the fused panel passes
+// and the ICA refresh — and a whole warm engine run must allocate NOTHING
+// once outputs and workspace are warm. The engine calls these kernels every
+// iteration, for fits and for every served batch; a per-call allocation
+// there is a perf bug this test turns into a failure.
 //
 // Mechanism: the test binary replaces global operator new/new[] with
 // counting wrappers. Each kernel runs twice with the same caller-owned
@@ -19,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "tmark/core/panel_fixed_point.h"
+#include "tmark/core/prepared_operators.h"
 #include "tmark/datasets/synthetic_hin.h"
 #include "tmark/hin/feature_similarity.h"
 #include "tmark/hin/hin.h"
@@ -148,22 +151,15 @@ TEST(SteadyStateAllocTest, TensorKernelsAllocateNothingWhenWarm) {
   const tensor::SparseTensor3 adjacency = MakeTensor();
   const tensor::TransitionTensors tensors =
       tensor::TransitionTensors::Build(adjacency);
-  const la::Vector x = MakeProb(kNodes, 4);
-  const la::Vector x2 = MakeProb(kNodes, 5);
-  const la::Vector z = MakeProb(kRelations, 6);
   const la::DenseMatrix xp = MakeProbPanel(kNodes, kWidth, 7);
   const la::DenseMatrix yp = MakeProbPanel(kNodes, kWidth, 8);
   const la::DenseMatrix zp = MakeProbPanel(kRelations, kWidth, 9);
-  la::Vector y, w, x_sums, w_sums;
+  la::Vector x_sums, w_sums;
   la::DenseMatrix node_out(kNodes, kWidth);
   la::DenseMatrix rel_out(kRelations, kWidth);
   la::PanelWorkspace ws;
   la::LeadingColumnSums(xp, kWidth, &x_sums);
 
-  EXPECT_EQ(WarmAllocs([&] { adjacency.ContractMode1Into(x, z, &y); }), 0u)
-      << "ContractMode1Into";
-  EXPECT_EQ(WarmAllocs([&] { adjacency.ContractMode3Into(x, x2, &w); }), 0u)
-      << "ContractMode3Into";
   EXPECT_EQ(WarmAllocs(
                 [&] { adjacency.ContractMode1Panel(xp, zp, kWidth, &node_out,
                                                    &ws); }),
@@ -174,10 +170,6 @@ TEST(SteadyStateAllocTest, TensorKernelsAllocateNothingWhenWarm) {
                                                    &ws); }),
             0u)
       << "ContractMode3Panel";
-  EXPECT_EQ(WarmAllocs([&] { tensors.ApplyOInto(x, z, &y); }), 0u)
-      << "ApplyOInto";
-  EXPECT_EQ(WarmAllocs([&] { tensors.ApplyRInto(x, x2, &w); }), 0u)
-      << "ApplyRInto";
   EXPECT_EQ(
       WarmAllocs([&] { tensors.ApplyOPanel(xp, zp, kWidth, &node_out, &ws); }),
       0u)
@@ -195,20 +187,18 @@ TEST(SteadyStateAllocTest, SimilarityAndFusedPassesAllocateNothingWhenWarm) {
   parallel::SetNumThreads(1);
   const hin::FeatureSimilarity sim =
       hin::FeatureSimilarity::Build(MakeSparse(kNodes, kVocab, 11));
-  const la::Vector x = MakeProb(kNodes, 12);
   const la::DenseMatrix xp = MakeProbPanel(kNodes, kWidth, 13);
   const la::DenseMatrix wx = MakeProbPanel(kNodes, kWidth, 14);
   const la::DenseMatrix l = MakeProbPanel(kNodes, kWidth, 15);
   const la::DenseMatrix prev = MakeProbPanel(kNodes, kWidth, 16);
-  la::Vector y, sums, rho;
+  la::Vector sums, rho;
   la::DenseMatrix wx_out(kNodes, kWidth);
   la::DenseMatrix combine = MakeProbPanel(kNodes, kWidth, 17);
   la::PanelWorkspace ws;
 
-  EXPECT_EQ(WarmAllocs([&] { sim.ApplyInto(x, &ws, &y); }), 0u) << "ApplyInto";
   EXPECT_EQ(WarmAllocs([&] { sim.ApplyPanel(xp, kWidth, &wx_out, &ws); }), 0u)
       << "ApplyPanel";
-  // The fused epilogue pair, exactly as the batched fit loop runs it:
+  // The fused epilogue pair, exactly as the engine loop runs it:
   // combine (producing the column sums), then normalize + residual
   // (consuming them). Re-normalizing an already-normalized panel is fine —
   // the sums stay positive.
@@ -243,6 +233,69 @@ TEST(SteadyStateAllocTest, IcaLabelRefreshAllocatesNothingWhenWarm) {
             }),
             0u)
       << "UpdatedLabelVectorInto";
+}
+
+TEST(SteadyStateAllocTest, WarmEngineRunAllocatesNothing) {
+  ThreadCountGuard guard;
+  parallel::SetNumThreads(1);
+  datasets::SyntheticHinConfig config;
+  config.num_nodes = 60;
+  config.class_names = {"A", "B", "C"};
+  config.relations = {{"r0", 0.8, 0.0, 2.0, {}, false},
+                      {"r1", 0.6, 0.2, 2.0, {}, true}};
+  config.seed = 8;
+  const hin::Hin hin = datasets::GenerateSyntheticHin(config);
+  const std::size_t n = hin.num_nodes();
+  const std::size_t m = hin.num_relations();
+  const std::size_t q = hin.num_classes();
+  std::vector<std::size_t> labeled;
+  for (std::size_t i = 0; i < n; i += 3) labeled.push_back(i);
+  const core::PreparedOperators ops =
+      core::PreparedOperators::Build(hin, hin::SimilarityKernel::kCosine);
+  std::vector<la::Vector> restarts;
+  for (std::size_t c = 0; c < q; ++c) {
+    restarts.push_back(hin::InitialLabelVector(hin, labeled, c));
+  }
+
+  // A fit's chains: label restarts with the ICA refresh, columns retiring
+  // one by one (compaction) as their residuals drop below epsilon.
+  core::PanelFixedPoint engine;
+  core::PanelFixedPoint::Options options;
+  options.beta = 0.12;
+  options.phase_timers = true;
+  la::Vector x_col, l_col;
+  std::vector<bool> known;
+  const core::PanelFixedPoint::Refresh ica =
+      [&](std::size_t chain, const la::DenseMatrix& x, std::size_t slot,
+          la::DenseMatrix* restart) {
+        la::ExtractColumn(x, slot, &x_col);
+        hin::UpdatedLabelVectorInto(hin, labeled, chain, x_col, 0.7, &l_col,
+                                    &known);
+        la::SetColumn(l_col, slot, restart);
+      };
+  std::vector<la::Vector> out_x(q), out_z(q);
+  const core::PanelFixedPoint::Finish finish =
+      [&](std::size_t chain, const la::DenseMatrix& x, const la::DenseMatrix& z,
+          std::size_t slot) {
+        la::ExtractColumn(x, slot, &out_x[chain]);
+        la::ExtractColumn(z, slot, &out_z[chain]);
+      };
+  std::size_t iterations = 0;
+  EXPECT_EQ(WarmAllocs([&] {
+              engine.Reset(n, m, q);
+              for (std::size_t c = 0; c < q; ++c) {
+                la::SetColumn(restarts[c], c, &engine.restart());
+                la::SetColumn(restarts[c], c, &engine.start_x());
+                for (std::size_t k = 0; k < m; ++k) {
+                  engine.start_z().At(k, c) = 1.0 / static_cast<double>(m);
+                }
+              }
+              iterations = engine.Run(ops, options, finish, ica);
+            }),
+            0u)
+      << "PanelFixedPoint::Run";
+  EXPECT_GT(iterations, 2u);  // The ICA refresh ran.
+  for (std::size_t c = 0; c < q; ++c) EXPECT_TRUE(engine.converged(c));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // End-to-end check that TMarkClassifier::Fit emits the documented
-// telemetry (docs/OBSERVABILITY.md): one tmark.fit root span with one
-// tmark.fit.class child per class, residual series matching Traces(), and
-// the per-phase timing histograms.
+// telemetry (docs/OBSERVABILITY.md): one tmark.fit root span holding the
+// operator build spans and one tmark.fit.batched panel span, residual
+// series matching Traces(), and the per-phase timing histograms.
 
 #include <gtest/gtest.h>
 
@@ -48,52 +48,6 @@ class ObsIntegrationTest : public ::testing::Test {
   }
 };
 
-TEST_F(ObsIntegrationTest, FitEmitsOneSpanPerClassWithMatchingResiduals) {
-  const hin::Hin hin = datasets::MakePaperExample();
-  core::TMarkConfig config;
-  config.fit_mode = core::FitMode::kPerClass;
-  core::TMarkClassifier clf(config);
-  clf.Fit(hin, datasets::PaperExampleLabeledNodes());
-  const auto& traces = clf.Traces();
-  ASSERT_EQ(traces.size(), hin.num_classes());
-
-  const std::vector<obs::SpanNode> roots =
-      obs::Tracer::Instance().TakeFinished();
-  ASSERT_EQ(roots.size(), 1u);
-  const obs::SpanNode& fit = roots[0];
-  EXPECT_EQ(fit.name, "tmark.fit");
-  ASSERT_NE(FindField(fit, "classes"), nullptr);
-  EXPECT_EQ(*FindField(fit, "classes"),
-            std::to_string(hin.num_classes()));
-
-  // The build spans of the transition tensors and the feature walk nest
-  // under the fit, followed by exactly one span per class.
-  std::vector<const obs::SpanNode*> class_spans;
-  bool saw_tensor_build = false;
-  bool saw_similarity_build = false;
-  for (const obs::SpanNode& child : fit.children) {
-    if (child.name == "tmark.fit.class") class_spans.push_back(&child);
-    if (child.name == "tensor.transition.build") saw_tensor_build = true;
-    if (child.name == "hin.similarity.build") saw_similarity_build = true;
-  }
-  EXPECT_TRUE(saw_tensor_build);
-  EXPECT_TRUE(saw_similarity_build);
-  ASSERT_EQ(class_spans.size(), hin.num_classes());
-
-  for (std::size_t c = 0; c < class_spans.size(); ++c) {
-    const obs::SpanNode& span = *class_spans[c];
-    const std::string* cls = FindField(span, "class");
-    const std::string* iterations = FindField(span, "iterations");
-    const std::string* converged = FindField(span, "converged");
-    ASSERT_NE(cls, nullptr);
-    ASSERT_NE(iterations, nullptr);
-    ASSERT_NE(converged, nullptr);
-    EXPECT_EQ(*cls, std::to_string(c));
-    EXPECT_EQ(*iterations, std::to_string(traces[c].residuals.size()));
-    EXPECT_EQ(*converged, traces[c].converged ? "true" : "false");
-  }
-}
-
 TEST_F(ObsIntegrationTest, ResidualSeriesMatchTracesExactly) {
   const hin::Hin hin = datasets::MakePaperExample();
   core::TMarkClassifier clf;
@@ -127,47 +81,6 @@ TEST_F(ObsIntegrationTest, ResidualSeriesMatchTracesExactly) {
             static_cast<std::int64_t>(total_iterations));
 }
 
-TEST_F(ObsIntegrationTest, PerPhaseTimingHistogramsArePopulated) {
-  const hin::Hin hin = datasets::MakePaperExample();
-  core::TMarkConfig config;
-  config.fit_mode = core::FitMode::kPerClass;
-  core::TMarkClassifier clf(config);
-  clf.Fit(hin, datasets::PaperExampleLabeledNodes());
-  const auto& traces = clf.Traces();
-
-  std::uint64_t total_iterations = 0;
-  std::uint64_t ica_iterations = 0;
-  for (const core::ConvergenceTrace& trace : traces) {
-    total_iterations += trace.residuals.size();
-    // The ICA restart update runs from iteration 3 onward (t > 2).
-    if (trace.residuals.size() > 2) {
-      ica_iterations += trace.residuals.size() - 2;
-    }
-  }
-
-  const obs::MetricsSnapshot snap = obs::Registry::Instance().Snapshot();
-  for (const char* name :
-       {"tmark.fit.phase.tensor_product_ms", "tmark.fit.phase.feature_walk_ms",
-        "tmark.fit.phase.z_update_ms"}) {
-    const obs::HistogramSnapshot* h = FindHistogram(snap, name);
-    ASSERT_NE(h, nullptr) << "missing histogram " << name;
-    EXPECT_EQ(h->count, total_iterations) << name;
-  }
-  const obs::HistogramSnapshot* ica =
-      FindHistogram(snap, "tmark.fit.phase.ica_update_ms");
-  ASSERT_NE(ica, nullptr);
-  EXPECT_EQ(ica->count, ica_iterations);
-
-  const obs::HistogramSnapshot* total =
-      FindHistogram(snap, "tmark.fit.total_ms");
-  ASSERT_NE(total, nullptr);
-  EXPECT_EQ(total->count, 1u);
-  const obs::HistogramSnapshot* per_class =
-      FindHistogram(snap, "tmark.fit.class_ms");
-  ASSERT_NE(per_class, nullptr);
-  EXPECT_EQ(per_class->count, traces.size());
-}
-
 TEST_F(ObsIntegrationTest, BatchedFitEmitsPanelSpanAndSharedPhaseTimers) {
   const hin::Hin hin = datasets::MakePaperExample();
   core::TMarkClassifier clf;  // default engine is batched
@@ -179,16 +92,22 @@ TEST_F(ObsIntegrationTest, BatchedFitEmitsPanelSpanAndSharedPhaseTimers) {
   ASSERT_EQ(roots.size(), 1u);
   const obs::SpanNode& fit = roots[0];
   EXPECT_EQ(fit.name, "tmark.fit");
-  ASSERT_NE(FindField(fit, "fit_mode"), nullptr);
-  EXPECT_EQ(*FindField(fit, "fit_mode"), "batched");
+  ASSERT_NE(FindField(fit, "classes"), nullptr);
+  EXPECT_EQ(*FindField(fit, "classes"), std::to_string(hin.num_classes()));
 
-  // One panel span instead of the per-class spans; its iteration count is
-  // the longest class trace (columns retire early, the panel runs on).
+  // The build spans of the transition tensors and the feature walk nest
+  // under the fit, beside one panel span whose iteration count is the
+  // longest class trace (columns retire early, the panel runs on).
   const obs::SpanNode* batched = nullptr;
+  bool saw_tensor_build = false;
+  bool saw_similarity_build = false;
   for (const obs::SpanNode& child : fit.children) {
     if (child.name == "tmark.fit.batched") batched = &child;
-    EXPECT_NE(child.name, "tmark.fit.class");
+    if (child.name == "tensor.transition.build") saw_tensor_build = true;
+    if (child.name == "hin.similarity.build") saw_similarity_build = true;
   }
+  EXPECT_TRUE(saw_tensor_build);
+  EXPECT_TRUE(saw_similarity_build);
   ASSERT_NE(batched, nullptr);
   std::size_t longest = 0;
   std::size_t total_iterations = 0;
@@ -230,6 +149,16 @@ TEST_F(ObsIntegrationTest, BatchedFitEmitsPanelSpanAndSharedPhaseTimers) {
     ASSERT_NE(h, nullptr) << "missing histogram " << name;
     EXPECT_EQ(h->count, longest) << name;
   }
+  // The ICA restart refresh runs from the third panel iteration onward.
+  ASSERT_GT(longest, 2u);
+  const obs::HistogramSnapshot* ica =
+      FindHistogram(snap, "tmark.fit.phase.ica_update_ms");
+  ASSERT_NE(ica, nullptr);
+  EXPECT_EQ(ica->count, longest - 2);
+  const obs::HistogramSnapshot* total =
+      FindHistogram(snap, "tmark.fit.total_ms");
+  ASSERT_NE(total, nullptr);
+  EXPECT_EQ(total->count, 1u);
 }
 
 TEST_F(ObsIntegrationTest, DisabledObsLeavesFitSilent) {

@@ -105,12 +105,15 @@ TEST_F(ProfTest, MergedCountsAreIdenticalAcrossThreadCounts) {
     parallel::SetNumThreads(thread_counts[run]);
     Profiler::Instance().Reset();
     Profiler::Instance().set_enabled(true);
-    parallel::ParallelFor(kItems, 1, [](std::size_t i) {
-      TMARK_PROF_REGION("prof_test.parallel");
-      if (i % 2 == 0) {
-        TMARK_PROF_REGION("prof_test.parallel_even");
-      }
-    });
+    parallel::ParallelForRanges(
+        kItems, 1, [](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            TMARK_PROF_REGION("prof_test.parallel");
+            if (i % 2 == 0) {
+              TMARK_PROF_REGION("prof_test.parallel_even");
+            }
+          }
+        });
     Profiler::Instance().set_enabled(false);
     const ProfileSnapshot snapshot = Profiler::Instance().Snapshot();
     for (const RegionTotals& region : snapshot.regions) {

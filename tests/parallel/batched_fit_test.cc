@@ -1,18 +1,24 @@
-// Golden bit-identity tests for the batched fit engine: a batched Fit must
-// equal the per-class Fit (which parallel_fit_test.cc already pins to the
-// seed serial results) bit for bit — exact ==, no tolerance — across every
-// similarity kernel, thread counts {1, 4}, warm starts, ICA on/off,
-// multi-chunk reductions, and iteration-capped (unconverged) runs.
+// Golden bit-identity tests for the panel fixed-point engine: a Fit, which
+// runs all q classes as the columns of one core::PanelFixedPoint, must equal
+// each class run alone at width 1 through the same engine, with the same
+// label restart and ICA refresh, bit for bit — exact ==, no tolerance —
+// across every similarity kernel, thread counts {1, 4}, warm starts, ICA
+// on/off, multi-chunk reductions, odd and tail panel widths, and
+// iteration-capped (unconverged) runs.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <vector>
 
+#include "tmark/core/panel_fixed_point.h"
+#include "tmark/core/prepared_operators.h"
 #include "tmark/core/tmark.h"
 #include "tmark/datasets/synthetic_hin.h"
 #include "tmark/hin/hin_builder.h"
+#include "tmark/hin/label_vector.h"
 #include "tmark/hin/similarity_kernel.h"
+#include "tmark/la/panel.h"
 #include "tmark/la/sparse_matrix.h"
 #include "tmark/parallel/parallel_for.h"
 #include "tmark/parallel/thread_pool.h"
@@ -92,6 +98,102 @@ FitOutputs RunFit(const hin::Hin& hin, const std::vector<std::size_t>& labeled,
   return out;
 }
 
+/// One engine panel whose chain s carries class classes[s], with the fit's
+/// label restart and ICA refresh (Eq. 12). Chain s starts from
+/// starts[s]'s stationary columns when that is non-null (a warm start, as
+/// Refit does) and cold otherwise. Writes each class's outputs into *out.
+void RunChains(const hin::Hin& hin, const std::vector<std::size_t>& labeled,
+               const core::TMarkConfig& config,
+               const core::PreparedOperators& ops,
+               const std::vector<std::size_t>& classes,
+               const std::vector<const FitOutputs*>& starts, FitOutputs* out) {
+  const std::size_t n = hin.num_nodes();
+  const std::size_t m = hin.num_relations();
+  core::PanelFixedPoint engine;
+  engine.Reset(n, m, classes.size());
+  for (std::size_t s = 0; s < classes.size(); ++s) {
+    const std::size_t c = classes[s];
+    const la::Vector l = hin::InitialLabelVector(hin, labeled, c);
+    la::SetColumn(l, s, &engine.restart());
+    if (starts[s] != nullptr) {
+      la::SetColumn(starts[s]->confidences.Col(c), s, &engine.start_x());
+      la::SetColumn(starts[s]->link_importance.Col(c), s, &engine.start_z());
+    } else {
+      la::SetColumn(l, s, &engine.start_x());
+      la::SetColumn(la::UniformProbability(m), s, &engine.start_z());
+    }
+  }
+  core::PanelFixedPoint::Options options;
+  options.alpha = config.alpha;
+  options.beta = config.beta();
+  options.epsilon = config.epsilon;
+  options.max_iterations = config.max_iterations;
+  la::Vector x_col;
+  la::Vector l_col;
+  std::vector<bool> known;
+  core::PanelFixedPoint::Refresh ica;
+  if (config.ica_update) {
+    ica = [&](std::size_t chain, const la::DenseMatrix& x, std::size_t slot,
+              la::DenseMatrix* restart) {
+      la::ExtractColumn(x, slot, &x_col);
+      hin::UpdatedLabelVectorInto(hin, labeled, classes[chain], x_col,
+                                  config.lambda, &l_col, &known);
+      la::SetColumn(l_col, slot, restart);
+    };
+  }
+  engine.Run(
+      ops, options,
+      [&](std::size_t chain, const la::DenseMatrix& x, const la::DenseMatrix& z,
+          std::size_t slot) {
+        const std::size_t c = classes[chain];
+        for (std::size_t i = 0; i < n; ++i) {
+          out->confidences.At(i, c) = x.At(i, slot);
+        }
+        for (std::size_t k = 0; k < m; ++k) {
+          out->link_importance.At(k, c) = z.At(k, slot);
+        }
+      },
+      ica);
+  for (std::size_t s = 0; s < classes.size(); ++s) {
+    core::ConvergenceTrace& trace = out->traces[classes[s]];
+    trace.class_index = classes[s];
+    trace.residuals = engine.residuals(s);
+    trace.converged = engine.converged(s);
+  }
+}
+
+FitOutputs EmptyOutputs(const hin::Hin& hin) {
+  return {la::DenseMatrix(hin.num_nodes(), hin.num_classes()),
+          la::DenseMatrix(hin.num_relations(), hin.num_classes()),
+          std::vector<core::ConvergenceTrace>(hin.num_classes()),
+          {}};
+}
+
+void AddRankings(FitOutputs* out) {
+  for (std::size_t c = 0; c < out->link_importance.cols(); ++c) {
+    out->rankings.push_back(
+        la::ArgSortDescending(out->link_importance.Col(c)));
+  }
+}
+
+/// The golden run: every class alone, as a width-1 chain of the engine.
+/// `warm` (optional) seeds each chain from a previous fit's stationary
+/// columns, as Refit does.
+FitOutputs RunEachClassAlone(const hin::Hin& hin,
+                             const std::vector<std::size_t>& labeled,
+                             const core::TMarkConfig& config, int threads,
+                             const FitOutputs* warm = nullptr) {
+  parallel::SetNumThreads(threads);
+  const core::PreparedOperators ops =
+      core::PreparedOperators::Build(hin, config.similarity);
+  FitOutputs out = EmptyOutputs(hin);
+  for (std::size_t c = 0; c < hin.num_classes(); ++c) {
+    RunChains(hin, labeled, config, ops, {c}, {warm}, &out);
+  }
+  AddRankings(&out);
+  return out;
+}
+
 void ExpectBitIdentical(const FitOutputs& golden, const FitOutputs& other) {
   EXPECT_DOUBLE_EQ(golden.confidences.MaxAbsDiff(other.confidences), 0.0);
   EXPECT_DOUBLE_EQ(golden.link_importance.MaxAbsDiff(other.link_importance),
@@ -121,50 +223,43 @@ TEST(BatchedFitTest, MatchesPerClassAcrossKernelsAndThreadCounts) {
         hin::SimilarityKernel::kTfIdfCosine,
         hin::SimilarityKernel::kDotProduct}) {
     SCOPED_TRACE("kernel " + hin::ToString(kernel));
-    core::TMarkConfig per_class;
-    per_class.similarity = kernel;
-    per_class.fit_mode = core::FitMode::kPerClass;
-    core::TMarkConfig batched = per_class;
-    batched.fit_mode = core::FitMode::kBatched;
+    core::TMarkConfig config;
+    config.similarity = kernel;
 
-    const FitOutputs golden = RunFit(hin, labeled, per_class, 1, false);
+    const FitOutputs golden = RunEachClassAlone(hin, labeled, config, 1);
     for (const int threads : {1, 4}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
-      ExpectBitIdentical(golden, RunFit(hin, labeled, batched, threads, false));
+      ExpectBitIdentical(golden, RunFit(hin, labeled, config, threads, false));
     }
-    // The per-class engine at 4 threads must also still hit the golden
-    // serial results (regression guard alongside parallel_fit_test.cc).
-    ExpectBitIdentical(golden, RunFit(hin, labeled, per_class, 4, false));
+    // The width-1 runs at 4 threads must also still hit the serial golden.
+    ExpectBitIdentical(golden, RunEachClassAlone(hin, labeled, config, 4));
   }
 }
 
 // Large enough that the z-update reductions split into several
 // kBilinearReduceGrain-row chunks, so the ordered fold of their partials,
-// run on 4 threads, is pinned to the per-class engine too.
+// run on 4 threads, is pinned to the width-1 runs too.
 TEST(BatchedFitTest, MultiChunkReductionsMatchPerClass) {
   ThreadCountGuard guard;
-  datasets::SyntheticHinConfig config;
-  config.num_nodes = 800;
-  config.class_names = {"A", "B", "C", "D"};
-  config.relations = {{"r0", 0.85, 0.0, 3.0, {}, false},
-                      {"r1", 0.6, 0.2, 2.0, {}, true}};
-  config.seed = 123;
-  const hin::Hin hin = datasets::GenerateSyntheticHin(config);
+  datasets::SyntheticHinConfig generator;
+  generator.num_nodes = 800;
+  generator.class_names = {"A", "B", "C", "D"};
+  generator.relations = {{"r0", 0.85, 0.0, 3.0, {}, false},
+                         {"r1", 0.6, 0.2, 2.0, {}, true}};
+  generator.seed = 123;
+  const hin::Hin hin = datasets::GenerateSyntheticHin(generator);
   ASSERT_GT(parallel::NumFixedChunks(hin.num_nodes(),
                                      la::SparseMatrix::kBilinearReduceGrain),
             1u);
   const std::vector<std::size_t> labeled = EveryThird(hin);
+  const core::TMarkConfig config;
 
-  core::TMarkConfig per_class;
-  per_class.fit_mode = core::FitMode::kPerClass;
-  core::TMarkConfig batched = per_class;
-  batched.fit_mode = core::FitMode::kBatched;
-
-  const FitOutputs golden = RunFit(hin, labeled, per_class, 1, false);
+  const FitOutputs golden = RunEachClassAlone(hin, labeled, config, 1);
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    ExpectBitIdentical(golden, RunFit(hin, labeled, batched, threads, false));
-    ExpectBitIdentical(golden, RunFit(hin, labeled, per_class, threads, false));
+    ExpectBitIdentical(golden, RunFit(hin, labeled, config, threads, false));
+    ExpectBitIdentical(golden,
+                       RunEachClassAlone(hin, labeled, config, threads));
   }
 }
 
@@ -173,16 +268,13 @@ TEST(BatchedFitTest, MatchesPerClassWithIcaDisabled) {
   const hin::Hin hin = MakeTestHin();
   const std::vector<std::size_t> labeled = EveryThird(hin);
 
-  core::TMarkConfig per_class;
-  per_class.ica_update = false;  // TensorRrCc mode: no restart refresh.
-  per_class.fit_mode = core::FitMode::kPerClass;
-  core::TMarkConfig batched = per_class;
-  batched.fit_mode = core::FitMode::kBatched;
+  core::TMarkConfig config;
+  config.ica_update = false;  // TensorRrCc mode: no restart refresh.
 
-  const FitOutputs golden = RunFit(hin, labeled, per_class, 1, false);
+  const FitOutputs golden = RunEachClassAlone(hin, labeled, config, 1);
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    ExpectBitIdentical(golden, RunFit(hin, labeled, batched, threads, false));
+    ExpectBitIdentical(golden, RunFit(hin, labeled, config, threads, false));
   }
 }
 
@@ -190,42 +282,77 @@ TEST(BatchedFitTest, WarmStartRefitIsBitIdentical) {
   ThreadCountGuard guard;
   const hin::Hin hin = MakeTestHin();
   const std::vector<std::size_t> labeled = EveryThird(hin);
-
-  core::TMarkConfig per_class;
-  per_class.fit_mode = core::FitMode::kPerClass;
-  core::TMarkConfig batched = per_class;
-  batched.fit_mode = core::FitMode::kBatched;
+  const core::TMarkConfig config;
 
   // Refit seeds every chain from the previous stationary panel; warm traces
   // are short (a handful of iterations), which exercises the early-retire
-  // compaction path of the batched engine.
-  const FitOutputs golden = RunFit(hin, labeled, per_class, 1, true);
+  // compaction path of the engine.
+  const FitOutputs cold = RunEachClassAlone(hin, labeled, config, 1);
+  const FitOutputs golden = RunEachClassAlone(hin, labeled, config, 1, &cold);
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    ExpectBitIdentical(golden, RunFit(hin, labeled, batched, threads, true));
+    ExpectBitIdentical(golden, RunFit(hin, labeled, config, threads, true));
   }
 }
 
 // Class counts chosen to hit every micro-kernel tail shape: q=1 (pure scalar
 // tail), 2, 3 (2+1), 5 (4+1), 7 (4+2+1), and 9 (one 8-block + scalar tail).
-// The blocked SIMD panel kernels must stay bit-identical to the per-class
-// engine at every width, including the odd ones.
+// The blocked SIMD panel kernels must give every column the bits of its
+// width-1 run at every width, including the odd ones.
 TEST(BatchedFitTest, OddAndTailClassWidthsMatchPerClass) {
   ThreadCountGuard guard;
   for (const std::size_t q : {1u, 2u, 3u, 5u, 7u, 9u}) {
     SCOPED_TRACE("classes " + std::to_string(q));
     const hin::Hin hin = MakeHinWithClasses(q);
     const std::vector<std::size_t> labeled = EveryThird(hin);
+    const core::TMarkConfig config;
 
-    core::TMarkConfig per_class;
-    per_class.fit_mode = core::FitMode::kPerClass;
-    core::TMarkConfig batched = per_class;
-    batched.fit_mode = core::FitMode::kBatched;
-
-    const FitOutputs golden = RunFit(hin, labeled, per_class, 1, false);
+    const FitOutputs golden = RunEachClassAlone(hin, labeled, config, 1);
     for (const int threads : {1, 4}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
-      ExpectBitIdentical(golden, RunFit(hin, labeled, batched, threads, false));
+      ExpectBitIdentical(golden, RunFit(hin, labeled, config, threads, false));
+    }
+  }
+}
+
+// Chains that retire at different iterations: class 0 starts at its own
+// stationary columns while the others start cold. With ICA off class 0
+// retires first, so the engine compacts the last active column into its
+// slot while the rest run on (a restart column left behind by the
+// compaction would show); with ICA on the raw label restart of the first
+// two iterations pulls it off that point and it retires last. Every chain
+// must still equal its width-1 run.
+TEST(BatchedFitTest, StaggeredRetirementMatchesPerClass) {
+  ThreadCountGuard guard;
+  const hin::Hin hin = MakeTestHin();
+  const std::vector<std::size_t> labeled = EveryThird(hin);
+  const std::size_t q = hin.num_classes();
+  std::vector<std::size_t> all(q);
+  for (std::size_t c = 0; c < q; ++c) all[c] = c;
+
+  for (const bool ica_update : {false, true}) {
+    SCOPED_TRACE(ica_update ? "ICA on" : "ICA off");
+    core::TMarkConfig config;
+    config.ica_update = ica_update;
+    const FitOutputs cold = RunEachClassAlone(hin, labeled, config, 1);
+    std::vector<const FitOutputs*> starts(q, nullptr);
+    starts[0] = &cold;
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      parallel::SetNumThreads(threads);
+      const core::PreparedOperators ops =
+          core::PreparedOperators::Build(hin, config.similarity);
+      FitOutputs golden = EmptyOutputs(hin);
+      for (std::size_t c = 0; c < q; ++c) {
+        RunChains(hin, labeled, config, ops, {c}, {starts[c]}, &golden);
+      }
+      AddRankings(&golden);
+      FitOutputs panel = EmptyOutputs(hin);
+      RunChains(hin, labeled, config, ops, all, starts, &panel);
+      AddRankings(&panel);
+      ASSERT_NE(golden.traces[0].residuals.size(),
+                golden.traces[1].residuals.size());
+      ExpectBitIdentical(golden, panel);
     }
   }
 }
@@ -237,21 +364,18 @@ TEST(BatchedFitTest, IterationCappedUnconvergedRunsMatch) {
 
   // Cap the iterations so no class converges: every column survives to the
   // end of the panel loop and is written out by the post-loop path.
-  core::TMarkConfig per_class;
-  per_class.max_iterations = 4;
-  per_class.epsilon = 1e-300;
-  per_class.fit_mode = core::FitMode::kPerClass;
-  core::TMarkConfig batched = per_class;
-  batched.fit_mode = core::FitMode::kBatched;
+  core::TMarkConfig config;
+  config.max_iterations = 4;
+  config.epsilon = 1e-300;
 
-  const FitOutputs golden = RunFit(hin, labeled, per_class, 1, false);
+  const FitOutputs golden = RunEachClassAlone(hin, labeled, config, 1);
   for (const core::ConvergenceTrace& trace : golden.traces) {
     EXPECT_FALSE(trace.converged);
     EXPECT_EQ(trace.residuals.size(), 4u);
   }
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    ExpectBitIdentical(golden, RunFit(hin, labeled, batched, threads, false));
+    ExpectBitIdentical(golden, RunFit(hin, labeled, config, threads, false));
   }
 }
 

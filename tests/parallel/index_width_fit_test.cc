@@ -73,19 +73,17 @@ void ExpectBitIdentical(const FitOutputs& golden, const FitOutputs& other) {
   }
 }
 
-TEST(ShardedFitTest, ForcedWideIndexArraysAreBitIdentical) {
+TEST(IndexWidthFitTest, ForcedWideIndexArraysAreBitIdentical) {
   KnobGuard guard;
   const hin::Hin hin = MakeTestHin();
   const std::vector<std::size_t> labeled = EveryThird(hin);
+  const core::TMarkConfig config;
 
-  core::TMarkConfig batched;
-  batched.fit_mode = core::FitMode::kBatched;
-
-  const FitOutputs compact = RunFit(hin, labeled, batched, 1);
+  const FitOutputs compact = RunFit(hin, labeled, config, 1);
   la::SetForceWideIndexArrays(true);
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    ExpectBitIdentical(compact, RunFit(hin, labeled, batched, threads));
+    ExpectBitIdentical(compact, RunFit(hin, labeled, config, threads));
   }
 }
 

@@ -107,16 +107,18 @@ TEST(ParallelForTest, CoversEveryIndexOnce) {
   SetNumThreads(4);
   constexpr std::size_t kCount = 10000;
   std::vector<int> hits(kCount, 0);
-  ParallelFor(kCount, /*grain=*/128, [&](std::size_t i) { hits[i] += 1; });
+  ParallelForRanges(kCount, /*grain=*/128,
+                    [&](std::size_t begin, std::size_t end) {
+                      for (std::size_t i = begin; i < end; ++i) hits[i] += 1;
+                    });
   for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i], 1);
 }
 
 TEST(ParallelForTest, EmptyAndSingleElementRanges) {
   std::size_t calls = 0;
-  ParallelFor(0, 1, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0u);
-  ParallelFor(1, 1, [&](std::size_t i) {
-    EXPECT_EQ(i, 0u);
+  ParallelForRanges(1, 1, [&](std::size_t begin, std::size_t end) {
+    EXPECT_EQ(begin, 0u);
+    EXPECT_EQ(end, 1u);
     ++calls;
   });
   EXPECT_EQ(calls, 1u);

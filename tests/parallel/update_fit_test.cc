@@ -24,6 +24,8 @@
 #include "tmark/datasets/synthetic_hin.h"
 #include "tmark/hin/hin.h"
 #include "tmark/hin/hin_delta.h"
+#include "tmark/la/dense_matrix.h"
+#include "tmark/la/panel.h"
 #include "tmark/la/sparse_matrix.h"
 #include "tmark/parallel/thread_pool.h"
 #include "tmark/tensor/sparse_tensor3.h"
@@ -141,14 +143,17 @@ TEST(UpdateFitTest, PatchedOperatorsBitIdenticalToRebuild) {
     // W x on a deterministic probe vector (plus the dangling list) pins it.
     EXPECT_EQ(patched.similarity().dangling_nodes(),
               rebuilt.similarity().dangling_nodes());
-    la::Vector probe(hin.num_nodes());
-    for (std::size_t i = 0; i < probe.size(); ++i) {
-      probe[i] = 1.0 / static_cast<double>(i + 2);
+    la::DenseMatrix probe(hin.num_nodes(), 1);
+    for (std::size_t i = 0; i < probe.rows(); ++i) {
+      probe.At(i, 0) = 1.0 / static_cast<double>(i + 2);
     }
-    const la::Vector wp = patched.similarity().Apply(probe);
-    const la::Vector wr = rebuilt.similarity().Apply(probe);
-    for (std::size_t i = 0; i < wp.size(); ++i) {
-      ASSERT_EQ(wp[i], wr[i]) << "W row " << i;
+    la::DenseMatrix wp(probe.rows(), 1);
+    la::DenseMatrix wr(probe.rows(), 1);
+    la::PanelWorkspace ws;
+    patched.similarity().ApplyPanel(probe, 1, &wp, &ws);
+    rebuilt.similarity().ApplyPanel(probe, 1, &wr, &ws);
+    for (std::size_t i = 0; i < wp.rows(); ++i) {
+      ASSERT_EQ(wp.At(i, 0), wr.At(i, 0)) << "W row " << i;
     }
   }
 }

@@ -9,6 +9,7 @@
 // the corpus also runs under TMARK_SANITIZE=address/thread builds.
 
 #include <fstream>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -31,6 +32,10 @@ struct WireCase {
   const char* file;
   StatusCode expected;
 };
+
+// Names the case after its fixture in gtest output (and so in the ctest
+// test names), instead of the raw bytes of the struct.
+void PrintTo(const WireCase& c, std::ostream* os) { *os << c.file; }
 
 /// Feeds one fixture through the frame reader and, when the frame is
 /// intact, the request parser; returns the first failure.

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "tmark/common/check.h"
 #include "tmark/common/random.h"
 #include "tmark/datasets/paper_example.h"
+#include "tmark/la/dense_matrix.h"
+#include "tmark/la/panel.h"
 #include "tmark/la/vector_ops.h"
 
 namespace tmark::tensor {
@@ -33,6 +38,20 @@ la::Vector RandomProbability(std::size_t n, Rng* rng) {
   for (double& x : v) x = rng->Uniform(0.01, 1.0);
   la::NormalizeL1(&v);
   return v;
+}
+
+// Panels of probability columns, two columns wider than the width under
+// test, so a kernel that read or wrote past the leading `width` columns, or
+// mixed up the column stride with the width, would show.
+constexpr std::size_t kExtraColumns = 2;
+
+la::DenseMatrix RandomProbabilityPanel(std::size_t rows, std::size_t cols,
+                                       Rng* rng) {
+  la::DenseMatrix p(rows, cols);
+  for (std::size_t c = 0; c < cols; ++c) {
+    la::SetColumn(RandomProbability(rows, rng), c, &p);
+  }
+  return p;
 }
 
 TEST(TransitionTensorsTest, OColumnsAreStochastic) {
@@ -107,17 +126,29 @@ TEST(TransitionTensorsTest, ApplyOMatchesDenseReference) {
   Rng rng(3);
   const SparseTensor3 a = RandomTensor(7, 3, 0.2, &rng);
   const TransitionTensors t = TransitionTensors::Build(a);
-  const la::Vector x = RandomProbability(7, &rng);
-  const la::Vector z = RandomProbability(3, &rng);
-  const la::Vector fast = t.ApplyO(x, z);
-  for (std::size_t i = 0; i < 7; ++i) {
-    double expect = 0.0;
-    for (std::size_t j = 0; j < 7; ++j) {
-      for (std::size_t k = 0; k < 3; ++k) {
-        expect += t.OEntry(i, j, k) * x[j] * z[k];
+  for (const std::size_t width : {1u, 3u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    const std::size_t stride = width + kExtraColumns;
+    const la::DenseMatrix x = RandomProbabilityPanel(7, stride, &rng);
+    const la::DenseMatrix z = RandomProbabilityPanel(3, stride, &rng);
+    la::DenseMatrix y(7, stride, -1.0);
+    la::PanelWorkspace ws;
+    t.ApplyOPanel(x, z, width, &y, &ws);
+    for (std::size_t c = 0; c < stride; ++c) {
+      for (std::size_t i = 0; i < 7; ++i) {
+        if (c >= width) {
+          EXPECT_EQ(y.At(i, c), -1.0) << "column past the width written";
+          continue;
+        }
+        double expect = 0.0;
+        for (std::size_t j = 0; j < 7; ++j) {
+          for (std::size_t k = 0; k < 3; ++k) {
+            expect += t.OEntry(i, j, k) * x.At(j, c) * z.At(k, c);
+          }
+        }
+        EXPECT_NEAR(y.At(i, c), expect, 1e-12);
       }
     }
-    EXPECT_NEAR(fast[i], expect, 1e-12);
   }
 }
 
@@ -125,16 +156,31 @@ TEST(TransitionTensorsTest, ApplyRMatchesDenseReference) {
   Rng rng(4);
   const SparseTensor3 a = RandomTensor(6, 4, 0.15, &rng);
   const TransitionTensors t = TransitionTensors::Build(a);
-  const la::Vector x = RandomProbability(6, &rng);
-  const la::Vector fast = t.ApplyR(x, x);
-  for (std::size_t k = 0; k < 4; ++k) {
-    double expect = 0.0;
-    for (std::size_t i = 0; i < 6; ++i) {
-      for (std::size_t j = 0; j < 6; ++j) {
-        expect += t.REntry(i, j, k) * x[i] * x[j];
+  for (const std::size_t width : {1u, 3u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    const std::size_t stride = width + kExtraColumns;
+    const la::DenseMatrix x = RandomProbabilityPanel(6, stride, &rng);
+    const la::DenseMatrix y = RandomProbabilityPanel(6, stride, &rng);
+    la::DenseMatrix w(4, stride, -1.0);
+    la::PanelWorkspace ws;
+    // The general bilinear form (x on mode 1, y on mode 2); Eq. (8) is the
+    // y = x case the engine runs.
+    t.ApplyRPanel(x, y, width, &w, &ws);
+    for (std::size_t c = 0; c < stride; ++c) {
+      for (std::size_t k = 0; k < 4; ++k) {
+        if (c >= width) {
+          EXPECT_EQ(w.At(k, c), -1.0) << "column past the width written";
+          continue;
+        }
+        double expect = 0.0;
+        for (std::size_t i = 0; i < 6; ++i) {
+          for (std::size_t j = 0; j < 6; ++j) {
+            expect += t.REntry(i, j, k) * x.At(i, c) * y.At(j, c);
+          }
+        }
+        EXPECT_NEAR(w.At(k, c), expect, 1e-12);
       }
     }
-    EXPECT_NEAR(fast[k], expect, 1e-12);
   }
 }
 
@@ -147,13 +193,24 @@ TEST_P(SimplexPreservationTest, ApplyOAndApplyRStayOnSimplex) {
   const std::size_t m = 2 + rng.UniformInt(4);
   const SparseTensor3 a = RandomTensor(n, m, 0.15, &rng);
   const TransitionTensors t = TransitionTensors::Build(a);
-  la::Vector x = RandomProbability(n, &rng);
-  la::Vector z = RandomProbability(m, &rng);
-  for (int step = 0; step < 5; ++step) {
-    x = t.ApplyO(x, z);
-    z = t.ApplyR(x, x);
-    EXPECT_TRUE(la::IsProbabilityVector(x, 1e-9));
-    EXPECT_TRUE(la::IsProbabilityVector(z, 1e-9));
+  for (const std::size_t width : {1u, 3u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    const std::size_t stride = width + kExtraColumns;
+    la::DenseMatrix x = RandomProbabilityPanel(n, stride, &rng);
+    la::DenseMatrix z = RandomProbabilityPanel(m, stride, &rng);
+    la::DenseMatrix x_next(n, stride);
+    la::DenseMatrix z_next(m, stride);
+    la::PanelWorkspace ws;
+    for (int step = 0; step < 5; ++step) {
+      t.ApplyOPanel(x, z, width, &x_next, &ws);
+      t.ApplyRPanel(x_next, x_next, width, &z_next, &ws);
+      std::swap(x, x_next);
+      std::swap(z, z_next);
+      for (std::size_t c = 0; c < width; ++c) {
+        EXPECT_TRUE(la::IsProbabilityVector(x.Col(c), 1e-9));
+        EXPECT_TRUE(la::IsProbabilityVector(z.Col(c), 1e-9));
+      }
+    }
   }
 }
 

@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -106,6 +107,33 @@ Args Parse(int argc, char** argv) {
     }
     args.flags[key.substr(2)] = argv[i + 1];
   }
+  // Each command accepts the flags Usage() documents for it plus the
+  // global ones; a misspelled flag would otherwise be ignored and its
+  // default used without a word. Unknown commands fall through to Usage().
+  static const std::set<std::string> kGlobalFlags = {
+      "log-level",    "metrics-json", "trace-json",
+      "trace-chrome", "profile-json", "threads"};
+  static const std::map<std::string, std::set<std::string>> kCommandFlags = {
+      {"generate", {"preset", "nodes", "seed", "out"}},
+      {"info", {"hin"}},
+      {"classify",
+       {"hin", "method", "train-fraction", "alpha", "gamma", "seed"}},
+      {"rank",
+       {"hin", "train-fraction", "alpha", "gamma", "top", "seed",
+        "save-model", "model"}},
+      {"serve",
+       {"hin", "serve-socket", "serve-port", "train-fraction", "alpha",
+        "gamma", "seed", "batch-window-us", "max-batch", "max-queue",
+        "max-requests"}},
+  };
+  const auto command = kCommandFlags.find(args.command);
+  if (command != kCommandFlags.end()) {
+    for (const auto& [key, value] : args.flags) {
+      if (command->second.count(key) == 0 && kGlobalFlags.count(key) == 0) {
+        throw FlagError("unknown flag --" + key + " for " + args.command);
+      }
+    }
+  }
   return args;
 }
 
@@ -118,10 +146,8 @@ int Usage() {
                "  info     --hin FILE\n"
                "  classify --hin FILE [--method NAME] [--train-fraction F]\n"
                "           [--alpha A] [--gamma G] [--seed S]\n"
-               "           [--fit-mode per_class|batched]\n"
                "  rank     --hin FILE [--train-fraction F] [--alpha A]\n"
                "           [--gamma G] [--top K] [--seed S]\n"
-               "           [--fit-mode per_class|batched]\n"
                "           [--save-model FILE | --model FILE]\n"
                "  serve    --hin FILE --serve-socket PATH | --serve-port N\n"
                "           [--train-fraction F] [--alpha A] [--gamma G]\n"
@@ -166,14 +192,6 @@ struct ObsFlags {
         trace_json(args.Get("trace-json", "")),
         trace_chrome(args.Get("trace-chrome", "")),
         profile_json(args.Get("profile-json", "")) {
-    // --profile-json is the only --profile-* flag; catch typos like
-    // --profile-out under the usage-error contract instead of silently
-    // ignoring them.
-    for (const auto& [key, value] : args.flags) {
-      if (key.rfind("profile-", 0) == 0 && key != "profile-json") {
-        throw FlagError("unknown flag --" + key);
-      }
-    }
     const std::string level = args.Get("log-level", "");
     if (!level.empty()) {
       const auto parsed = obs::ParseLogLevel(level);
@@ -266,19 +284,6 @@ struct ObsFlags {
   }
 };
 
-/// Parses --fit-mode (default: the batched engine — both engines are
-/// bit-identical, see docs/PERFORMANCE.md).
-core::FitMode GetFitMode(const Args& args) {
-  const std::string raw = args.Get("fit-mode", "");
-  if (raw.empty()) return core::FitMode::kBatched;
-  core::FitMode mode;
-  if (!core::TryParseFitMode(raw, &mode)) {
-    throw FlagError("invalid value '" + raw +
-                    "' for --fit-mode (expected per_class|batched)");
-  }
-  return mode;
-}
-
 /// Loads --hin through the Status boundary; the flag is required.
 Result<hin::Hin> LoadHinFlag(const Args& args) {
   const std::string path = args.Get("hin", "");
@@ -335,8 +340,7 @@ Status Classify(const Args& args) {
   }
   auto clf = baselines::TryMakeClassifier(method,
                                           args.GetDouble("alpha", 0.8),
-                                          args.GetDouble("gamma", 0.6),
-                                          0.7, GetFitMode(args));
+                                          args.GetDouble("gamma", 0.6));
   if (clf == nullptr) {
     return InvalidArgumentError("unknown method '" + method + "'");
   }
@@ -357,7 +361,6 @@ Status Rank(const Args& args) {
   core::TMarkConfig config;
   config.alpha = args.GetDouble("alpha", 0.8);
   config.gamma = args.GetDouble("gamma", 0.6);
-  config.fit_mode = GetFitMode(args);
   core::TMarkClassifier clf(config);
   if (!model_path.empty()) {
     TMARK_ASSIGN_OR_RETURN(clf, core::LoadTMarkModelFromFile(model_path));
@@ -407,7 +410,6 @@ Status Serve(const Args& args) {
   serve::DaemonOptions options;
   options.config.alpha = args.GetDouble("alpha", 0.8);
   options.config.gamma = args.GetDouble("gamma", 0.6);
-  options.config.fit_mode = GetFitMode(args);
   options.batcher.batch_window_us = args.GetSize("batch-window-us", 200);
   options.batcher.max_batch = args.GetSize("max-batch", 16);
   options.batcher.max_queue = args.GetSize("max-queue", 256);

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -83,6 +84,16 @@ Args Parse(int argc, char** argv) {
       throw FlagError("missing value for " + key);
     }
     args.flags[key.substr(2)] = argv[i + 1];
+  }
+  // The flags Usage() documents; a misspelled one would otherwise be
+  // ignored and its default used without a word.
+  static const std::set<std::string> kFlags = {
+      "hin",          "serve-socket", "serve-port",      "train-fraction",
+      "alpha",        "gamma",        "seed",            "batch-window-us",
+      "max-batch",    "max-queue",    "max-requests",    "log-level",
+      "metrics-json", "threads"};
+  for (const auto& [key, value] : args.flags) {
+    if (kFlags.count(key) == 0) throw FlagError("unknown flag --" + key);
   }
   return args;
 }
