@@ -49,7 +49,8 @@ int main() {
              tensor::MatricizeMode3(a).ToDense());
   std::printf("\n");
 
-  const tensor::TransitionTensors t = tensor::TransitionTensors::Build(a);
+  const tensor::TransitionTensors t =
+      tensor::TransitionTensors::Build(a.slices());
   for (std::size_t k = 0; k < 3; ++k) {
     char title[64];
     std::snprintf(title, sizeof(title), "O(:,:,%zu)  [%s]", k,

@@ -2,9 +2,10 @@
 // layer (la/microkernel.h, docs/PERFORMANCE.md):
 //
 //   * "kernel microbenchmarks" — each blocked panel kernel
-//     (MatMulPanel, TransposeMatMulPanel, BilinearPanel, ContractMode1Panel,
-//     FeatureSimilarity::ApplyPanel) at panel widths {1, 2, 4, 8, 16}
-//     against two baselines over identical operands:
+//     (MatMulPanel, TransposeMatMulPanel, BilinearPanel,
+//     EntryIndex::ContractMode1Panel, FeatureSimilarity::ApplyPanel) at
+//     panel widths {1, 2, 4, 8, 16} against two baselines over identical
+//     operands:
 //       scalar_ms  — an unblocked reference of the SAME panel algorithm
 //                    (plain runtime-width inner loops, implemented in this
 //                    file); the gated baseline, isolating what the blocked
@@ -40,6 +41,7 @@
 #include "tmark/la/sparse_matrix.h"
 #include "tmark/la/vector_ops.h"
 #include "tmark/parallel/thread_pool.h"
+#include "tmark/tensor/entry_index.h"
 #include "tmark/tensor/sparse_tensor3.h"
 
 namespace {
@@ -264,6 +266,9 @@ struct Fixture {
     }
     return tensor::SparseTensor3::FromSlices(std::move(slices));
   }();
+  std::vector<double> tensor_values;  ///< The slices' values, index order.
+  tensor::EntryIndex index =
+      tensor::EntryIndex::FromSlices(tensor.slices(), &tensor_values);
   la::SparseMatrix features = MakeSparse(kNodes, kVocab, 11);
   hin::FeatureSimilarity sim = hin::FeatureSimilarity::Build(features);
   ScalarSimilarity scalar_sim = ScalarSimilarity::Build(features);
@@ -334,7 +339,8 @@ const KernelRow kKernelRows[] = {
                                 &f.panel.node_out);
      },
      [](Fixture& f, Operands& ops, std::size_t w) {
-       f.tensor.ContractMode1Panel(ops.xp, ops.zp, w, &ops.node_out, &f.ws);
+       f.index.ContractMode1Panel(f.tensor_values, ops.xp, ops.zp, w,
+                                  &ops.node_out, &f.ws);
      }},
     {"similarity_apply_panel",
      [](Fixture& f, std::size_t w) {

@@ -6,13 +6,15 @@
 //
 // Two tables go into the TMARK_BENCH_JSON dump (and stdout):
 //   * "scaling curve"  — per (n, threads) fit wall time and ms/iter of the
-//     merged-view contractions on their fixed row-chunk grid, with the
-//     host's core count beside the thread count. Fits are bit-identical
-//     across thread counts, so iteration counts match within each n;
+//     index contractions on their fixed row-chunk grid, with the host's
+//     core count beside the thread count. Fits are bit-identical across
+//     thread counts, so iteration counts match within each n;
 //     scripts/check_scaling_bench.py checks that.
 //   * "scaling memory" — compact (adaptive 32-bit) vs forced-wide (64-bit)
-//     structure bytes for the CSR slices and the merged view, from the
-//     analytic byte accounting (StructureBytes / MergedViewStorageBytes).
+//     bytes of the adjacency (the HIN's relation CSR matrices) and of the
+//     operators (O and R: one shared index plus two value arrays), from
+//     the analytic byte accounting (SparseMatrix::StructureBytes /
+//     TransitionTensors::StorageBytes).
 //     The analytic numbers are the gated quantity because VmHWM is monotone
 //     per process; the peak-RSS column is recorded as context only.
 //
@@ -75,25 +77,21 @@ struct KnobGuard {
 
 struct StructureBytesReport {
   std::size_t nnz = 0;
-  std::size_t csr_bytes = 0;
-  std::size_t merged_bytes = 0;
-  std::size_t merged_index_bits = 0;
+  std::size_t adjacency_bytes = 0;  ///< The HIN's relation CSR matrices.
+  std::size_t operator_bytes = 0;   ///< O and R: one index, two value arrays.
+  std::size_t index_bits = 0;
 };
 
 StructureBytesReport MeasureStructures(const hin::Hin& hin) {
   const tensor::TransitionTensors tensors =
-      tensor::TransitionTensors::Build(hin.ToAdjacencyTensor());
+      tensor::TransitionTensors::Build(hin.relations());
   StructureBytesReport report;
-  for (const tensor::SparseTensor3* t :
-       {&tensors.o_stored(), &tensors.r_stored()}) {
-    report.nnz += t->NumNonZeros();
-    for (std::size_t k = 0; k < t->num_relations(); ++k) {
-      report.csr_bytes += t->Slice(k).StructureBytes();
-    }
-    report.merged_bytes += t->MergedViewStorageBytes();
-    report.merged_index_bits =
-        std::max(report.merged_index_bits, t->MergedViewIndexBits());
+  report.nnz = tensors.index().num_entries();
+  for (const la::SparseMatrix& a : hin.relations()) {
+    report.adjacency_bytes += a.StructureBytes();
   }
+  report.operator_bytes = tensors.StorageBytes();
+  report.index_bits = tensors.index().IndexBits();
   return report;
 }
 
@@ -112,9 +110,9 @@ void RunScalingStudy() {
   std::vector<std::vector<std::string>> curve_rows;
   std::vector<std::string> mem_headers = {
       "n",     "nnz",
-      "csr_compact_bytes",    "csr_wide_bytes",
-      "merged_compact_bytes", "merged_wide_bytes",
-      "merged_index_bits"};
+      "adjacency_compact_bytes", "adjacency_wide_bytes",
+      "operator_compact_bytes",  "operator_wide_bytes",
+      "index_bits"};
   std::vector<std::vector<std::string>> mem_rows;
 
   for (const std::size_t n : sizes) {
@@ -135,11 +133,11 @@ void RunScalingStudy() {
             datasets::ScalingSyntheticConfig(n, /*seed=*/7)));
     la::SetForceWideIndexArrays(false);
     mem_rows.push_back({std::to_string(n), std::to_string(compact.nnz),
-                        std::to_string(compact.csr_bytes),
-                        std::to_string(wide.csr_bytes),
-                        std::to_string(compact.merged_bytes),
-                        std::to_string(wide.merged_bytes),
-                        std::to_string(compact.merged_index_bits)});
+                        std::to_string(compact.adjacency_bytes),
+                        std::to_string(wide.adjacency_bytes),
+                        std::to_string(compact.operator_bytes),
+                        std::to_string(wide.operator_bytes),
+                        std::to_string(compact.index_bits)});
 
     // Timing: prebuilt operators, fixed 8-iteration chains (epsilon below
     // any reachable residual) so every thread count runs the identical

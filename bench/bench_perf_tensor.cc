@@ -38,7 +38,7 @@ void BM_ApplyO(benchmark::State& state) {
   const std::size_t m = 16;
   const std::size_t d = 8 * n;  // D scales linearly with n
   const tensor::TransitionTensors t =
-      tensor::TransitionTensors::Build(RandomTensor(n, m, d, 7));
+      tensor::TransitionTensors::Build(RandomTensor(n, m, d, 7).slices());
   const la::DenseMatrix x(n, 1, 1.0 / static_cast<double>(n));
   const la::DenseMatrix z(m, 1, 1.0 / static_cast<double>(m));
   la::DenseMatrix y(n, 1);
@@ -58,7 +58,7 @@ void BM_ApplyR(benchmark::State& state) {
   const std::size_t m = 16;
   const std::size_t d = 8 * n;
   const tensor::TransitionTensors t =
-      tensor::TransitionTensors::Build(RandomTensor(n, m, d, 11));
+      tensor::TransitionTensors::Build(RandomTensor(n, m, d, 11).slices());
   const la::DenseMatrix x(n, 1, 1.0 / static_cast<double>(n));
   la::DenseMatrix w(m, 1);
   la::PanelWorkspace ws;
@@ -76,7 +76,7 @@ void BM_BuildTransitionTensors(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const tensor::SparseTensor3 a = RandomTensor(n, 16, 8 * n, 13);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::TransitionTensors::Build(a));
+    benchmark::DoNotOptimize(tensor::TransitionTensors::Build(a.slices()));
   }
 }
 BENCHMARK(BM_BuildTransitionTensors)->Arg(1000)->Arg(8000);
@@ -86,7 +86,8 @@ void BM_DenseReferenceApplyO(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t m = 16;
   const tensor::TransitionTensors t =
-      tensor::TransitionTensors::Build(RandomTensor(n, m, 8 * n, 17));
+      tensor::TransitionTensors::Build(
+          RandomTensor(n, m, 8 * n, 17).slices());
   const la::Vector x = la::UniformProbability(n);
   const la::Vector z = la::UniformProbability(m);
   for (auto _ : state) {

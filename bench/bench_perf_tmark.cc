@@ -135,6 +135,7 @@ std::size_t FitClassAlone(const hin::Hin& hin,
                           const std::vector<std::size_t>& labeled,
                           const core::PreparedOperators& ops,
                           const core::TMarkConfig& config, std::size_t c) {
+  obs::ScopedTimer timer(bench::kWidth1FitHistogram);
   const std::size_t n = hin.num_nodes();
   const std::size_t m = hin.num_relations();
   core::PanelFixedPoint engine;

@@ -6,9 +6,10 @@ every n of the "scaling curve" table, that the iteration counts agree
 across its thread counts (fits are bit-identical at any thread count, so a
 mismatch means different workloads were timed), and, for every row of the
 "scaling memory" table, that the compact (adaptive 32-bit) structures are
-strictly smaller than the forced-wide 64-bit ones — for the CSR slices and
-the merged view alike. The memory comparison is analytic byte accounting,
-so it is exact and noise-free. No timing is gated.
+strictly smaller than the forced-wide 64-bit ones — for the adjacency (the
+HIN's relation CSR matrices) and the operators (one index shared by O and
+R, plus their two value arrays) alike. The memory comparison is analytic
+byte accounting, so it is exact and noise-free. No timing is gated.
 
 Usage: check_scaling_bench.py FILE
 """
@@ -64,20 +65,20 @@ def check_curve(table, path):
 def check_memory(table, path):
     cols = columns(
         table,
-        ["n", "csr_compact_bytes", "csr_wide_bytes",
-         "merged_compact_bytes", "merged_wide_bytes"], path)
+        ["n", "adjacency_compact_bytes", "adjacency_wide_bytes",
+         "operator_compact_bytes", "operator_wide_bytes"], path)
     if not table["rows"]:
         raise ValueError(f"{path}: '{MEMORY_TITLE}' table has no rows")
     for row in table["rows"]:
-        n, csr_c, csr_w, mv_c, mv_w = (row[c] for c in cols)
-        for label, compact, wide in (("csr", int(csr_c), int(csr_w)),
-                                     ("merged", int(mv_c), int(mv_w))):
+        n, adj_c, adj_w, op_c, op_w = (row[c] for c in cols)
+        for label, compact, wide in (("adjacency", int(adj_c), int(adj_w)),
+                                     ("operator", int(op_c), int(op_w))):
             if compact >= wide:
                 raise ValueError(
                     f"{path}: n={n}: compact {label} structures are not "
                     f"smaller than wide ones ({compact} vs {wide} bytes)")
-        print(f"check_scaling_bench: n={n}: csr {csr_c}/{csr_w} "
-              f"merged {mv_c}/{mv_w} compact/wide bytes")
+        print(f"check_scaling_bench: n={n}: adjacency {adj_c}/{adj_w} "
+              f"operator {op_c}/{op_w} compact/wide bytes")
 
 
 def main():

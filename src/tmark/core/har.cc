@@ -12,13 +12,13 @@ namespace {
 /// Per-slice transpose: entry (i, j, k) -> (j, i, k). The destination-
 /// normalized tensor of the transpose is exactly the source-normalized
 /// tensor H of the original.
-tensor::SparseTensor3 TransposeSlices(const tensor::SparseTensor3& a) {
+std::vector<la::SparseMatrix> TransposeSlices(const tensor::SparseTensor3& a) {
   std::vector<la::SparseMatrix> slices;
   slices.reserve(a.num_relations());
-  for (std::size_t k = 0; k < a.num_relations(); ++k) {
-    slices.push_back(a.Slice(k).Transpose());
+  for (const la::SparseMatrix& slice : a.slices()) {
+    slices.push_back(slice.Transpose());
   }
-  return tensor::SparseTensor3::FromSlices(std::move(slices));
+  return slices;
 }
 
 }  // namespace
@@ -33,7 +33,7 @@ HarResult HarRank(const tensor::SparseTensor3& adjacency,
   TMARK_CHECK(config.gamma >= 0.0 && config.gamma < 1.0);
 
   const tensor::TransitionTensors fwd =
-      tensor::TransitionTensors::Build(adjacency);
+      tensor::TransitionTensors::Build(adjacency.slices());
   const tensor::TransitionTensors bwd =
       tensor::TransitionTensors::Build(TransposeSlices(adjacency));
 

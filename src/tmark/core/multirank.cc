@@ -47,7 +47,8 @@ MultiRankResult MultiRank(const tensor::TransitionTensors& tensors,
 
 MultiRankResult MultiRank(const tensor::SparseTensor3& adjacency,
                           const MultiRankConfig& config) {
-  return MultiRank(tensor::TransitionTensors::Build(adjacency), config);
+  return MultiRank(tensor::TransitionTensors::Build(adjacency.slices()),
+                   config);
 }
 
 }  // namespace tmark::core

@@ -64,7 +64,7 @@ PreparedOperators PreparedOperators::Build(const hin::Hin& hin,
   // to whatever span is open at the call site (e.g. tmark.fit).
   const std::uint64_t fingerprint = FingerprintOperators(hin, kernel);
   tensor::TransitionTensors tensors =
-      tensor::TransitionTensors::Build(hin.ToAdjacencyTensor());
+      tensor::TransitionTensors::Build(hin.relations());
   hin::FeatureSimilarity similarity =
       hin::FeatureSimilarity::Build(hin.features(), kernel);
   obs::IncrCounter("core.prepared.builds");
@@ -87,11 +87,6 @@ void PreparedOperators::ApplyDelta(const hin::Hin& hin,
   obs::IncrCounter("update.edges",
                    static_cast<std::int64_t>(delta.edge_ops().size()));
   if (!delta.edge_ops().empty()) {
-    std::vector<const la::SparseMatrix*> adjacency;
-    adjacency.reserve(hin.num_relations());
-    for (std::size_t k = 0; k < hin.num_relations(); ++k) {
-      adjacency.push_back(&hin.relation(k));
-    }
     tensor::TransitionTensors::AdjacencyDelta adelta;
     adelta.relations.reserve(delta.edge_ops().size());
     adelta.pairs.reserve(delta.edge_ops().size());
@@ -107,7 +102,7 @@ void PreparedOperators::ApplyDelta(const hin::Hin& hin,
     std::sort(adelta.pairs.begin(), adelta.pairs.end());
     adelta.pairs.erase(std::unique(adelta.pairs.begin(), adelta.pairs.end()),
                        adelta.pairs.end());
-    tensors_.ApplyPatch(adjacency, adelta);
+    tensors_.ApplyPatch(hin.relations(), adelta);
   }
   if (!delta.feature_updates().empty()) {
     std::vector<std::uint32_t> rows;

@@ -39,6 +39,8 @@ class Hin {
   /// links to node i through relation k (column = source, row = destination,
   /// matching the tensor convention of Sec. 3.1).
   const la::SparseMatrix& relation(std::size_t k) const;
+  /// All m relation adjacency matrices, in relation order.
+  const std::vector<la::SparseMatrix>& relations() const { return relations_; }
 
   /// Human-readable name of the k-th relation (e.g. "SIGMOD", "co-author").
   const std::string& relation_name(std::size_t k) const;

@@ -3,7 +3,7 @@
 
 // Register-blocked SIMD micro-kernels over contiguous column runs.
 //
-// Every multi-RHS panel kernel (SparseMatrix::*Panel, SparseTensor3::
+// Every multi-RHS panel kernel (SparseMatrix::*Panel, EntryIndex::
 // Contract*Panel, FeatureSimilarity::ApplyPanel, the la/panel.h column
 // helpers) has the same inner shape: a short contiguous run of `width`
 // doubles — the active columns of one panel row — updated element-wise.
@@ -62,14 +62,6 @@ struct ZeroOp {
   static void Run(std::size_t c, double* d) {
     TMARK_SIMD
     for (std::size_t i = 0; i < W; ++i) d[c + i] = 0.0;
-  }
-};
-
-struct CopyOp {
-  template <std::size_t W>
-  static void Run(std::size_t c, double* d, const double* s) {
-    TMARK_SIMD
-    for (std::size_t i = 0; i < W; ++i) d[c + i] = s[c + i];
   }
 };
 
@@ -169,11 +161,6 @@ struct FusedScaleAbsDiffOp {
 /// d[c] = 0 for c in [0, width).
 inline void Zero(double* d, std::size_t width) {
   detail::Dispatch<detail::ZeroOp>(width, d);
-}
-
-/// d[c] = s[c].
-inline void Copy(double* d, const double* s, std::size_t width) {
-  detail::Dispatch<detail::CopyOp>(width, d, s);
 }
 
 /// d[c] *= a.

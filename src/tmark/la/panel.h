@@ -6,7 +6,7 @@
 //
 // A panel is a row-major DenseMatrix whose leading `width` columns are
 // active: column c holds the vector of one independent chain, and the
-// panel kernels (SparseMatrix::MatMulPanel, SparseTensor3::
+// panel kernels (SparseMatrix::MatMulPanel, EntryIndex::
 // ContractMode1Panel, ...) stream the sparse structure once while updating
 // all active columns with a contiguous inner loop. A single vector is a
 // width-1 panel. Every panel kernel performs, per column, the same

@@ -67,6 +67,22 @@ SparseMatrix SparseMatrix::FromTriplets(std::size_t rows, std::size_t cols,
   return m;
 }
 
+SparseMatrix SparseMatrix::FromCsr(std::size_t rows, std::size_t cols,
+                                   std::vector<std::size_t> row_ptr,
+                                   std::vector<std::uint32_t> col_idx,
+                                   std::vector<double> values) {
+  TMARK_CHECK(row_ptr.size() == rows + 1 && row_ptr.front() == 0);
+  TMARK_CHECK(row_ptr.back() == col_idx.size() &&
+              values.size() == col_idx.size());
+  SparseMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_ptr_ = IndexArray::FromOffsets(std::move(row_ptr));
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
+  return m;
+}
+
 SparseMatrix SparseMatrix::FromDense(const DenseMatrix& dense, double tol) {
   std::vector<Triplet> trips;
   for (std::size_t r = 0; r < dense.rows(); ++r) {
@@ -161,14 +177,8 @@ void SparseMatrix::ApplyRowEdits(std::vector<RowEdit> edits) {
 }
 
 Vector SparseMatrix::MatVec(const Vector& x) const {
-  Vector y;
-  MatVecInto(x, &y);
-  return y;
-}
-
-void SparseMatrix::MatVecInto(const Vector& x, Vector* y) const {
-  TMARK_CHECK(y != nullptr && x.size() == cols_);
-  y->resize(rows_);
+  TMARK_CHECK(x.size() == cols_);
+  Vector y(rows_);
   // Disjoint output rows: row-partitioning is bit-identical to serial.
   parallel::ParallelForRanges(
       rows_, kMatVecGrain, [&](std::size_t begin, std::size_t end) {
@@ -177,49 +187,10 @@ void SparseMatrix::MatVecInto(const Vector& x, Vector* y) const {
           for (std::size_t p = row_ptr_[r]; p < row_ptr_[r + 1]; ++p) {
             s += values_[p] * x[col_idx_[p]];
           }
-          (*y)[r] = s;
+          y[r] = s;
         }
       });
-}
-
-Vector SparseMatrix::TransposeMatVec(const Vector& x) const {
-  PanelWorkspace ws;
-  Vector y;
-  TransposeMatVecInto(x, &y, &ws);
   return y;
-}
-
-void SparseMatrix::TransposeMatVecInto(const Vector& x, Vector* y,
-                                       PanelWorkspace* ws) const {
-  TMARK_CHECK(y != nullptr && ws != nullptr && x.size() == rows_);
-  auto scatter = [this, &x](std::size_t begin, std::size_t end, Vector* out) {
-    for (std::size_t r = begin; r < end; ++r) {
-      const double xr = x[r];
-      if (xr == 0.0) continue;
-      for (std::size_t p = row_ptr_[r]; p < row_ptr_[r + 1]; ++p) {
-        (*out)[col_idx_[p]] += values_[p] * xr;
-      }
-    }
-  };
-  y->assign(cols_, 0.0);
-  const std::size_t chunks =
-      parallel::NumFixedChunks(rows_, kScatterGrain, kScatterMaxChunks);
-  if (chunks <= 1) {
-    scatter(0, rows_, y);
-    return;
-  }
-  // Colliding scatter targets: accumulate into ordered per-chunk partials
-  // and merge them in chunk order. Chunk boundaries depend only on the row
-  // count, so every thread count (serial included) sums in the same order.
-  ws->PrepareChunks(chunks, cols_);
-  parallel::ParallelChunks(
-      rows_, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        scatter(begin, end, &ws->Chunk(chunk));
-      });
-  for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-    const Vector& partial = ws->Chunk(chunk);
-    for (std::size_t c = 0; c < cols_; ++c) (*y)[c] += partial[c];
-  }
 }
 
 Vector SparseMatrix::RowSums() const {
@@ -416,17 +387,17 @@ void SparseMatrix::TransposeMatMulPanel(const DenseMatrix& x,
   TMARK_CHECK(x.rows() == rows_ && y->rows() == cols_);
   TMARK_CHECK(x.cols() == y->cols() && width <= x.cols());
   // `buf` addresses a cols_ x width target with column stride `stride`.
-  // TransposeMatVec skips rows with x[r] == 0; here a row is skipped only
-  // when every active column is zero, and a column whose entry is zero
-  // receives v * 0.0 adds — which leave its non-negative partials unchanged
-  // bit for bit, keeping each column identical to the single-vector kernel.
+  // A row is skipped only when every active column is zero, and a column
+  // whose entry is zero receives v * 0.0 adds — which leave its
+  // non-negative partials unchanged bit for bit, keeping each column
+  // identical to its width-1 run.
   // Unlike the gather kernels, the scatter has no register accumulator to
   // reuse across the inner loop — each nnz load-modify-stores a different
   // output row — so the fixed-width block dispatch of mk::Axpy is pure
   // per-nnz overhead here (bench_perf_kernels shows the plain annotated
   // runtime-width loop at parity or ahead at every width). The loop performs
   // the same adds in the same ascending-column order, so each column stays
-  // bit-identical to the single-vector kernel.
+  // bit-identical to its width-1 run.
   auto scatter = [&](std::size_t begin, std::size_t end, double* buf,
                      std::size_t stride) {
     for (std::size_t r = begin; r < end; ++r) {
@@ -443,8 +414,8 @@ void SparseMatrix::TransposeMatMulPanel(const DenseMatrix& x,
   for (std::size_t j = 0; j < cols_; ++j) {
     mk::Zero(y->RowPtr(j), width);
   }
-  // Same fixed chunk layout as TransposeMatVec: boundaries depend only on
-  // the row count, partials merge in chunk order.
+  // Fixed chunk layout: boundaries depend only on the row count, partials
+  // merge in chunk order.
   const std::size_t chunks =
       parallel::NumFixedChunks(rows_, kScatterGrain, kScatterMaxChunks);
   if (chunks <= 1) {

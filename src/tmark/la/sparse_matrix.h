@@ -36,12 +36,13 @@ struct RowEdit {
 class SparseMatrix {
  public:
   /// Row grain of the Bilinear / BilinearPanel reductions. Public so fused
-  /// multi-slice kernels (SparseTensor3::ContractMode3Panel) can reproduce
-  /// the exact per-chunk partial-sum boundaries — the fold order is part of
-  /// the bit-identity contract, not just the grouping of work. Small enough
-  /// that an 800-node network (the DBLP preset) splits into 4 chunks, so
-  /// the z-update of a small batched fit runs on 4 threads instead of one;
-  /// NumFixedChunks' 64-chunk cap bounds the partials of large networks.
+  /// multi-relation kernels (tensor::EntryIndex::ContractMode3Panel) can
+  /// reproduce the exact per-chunk partial-sum boundaries — the fold order
+  /// is part of the bit-identity contract, not just the grouping of work.
+  /// Small enough that an 800-node network (the DBLP preset) splits into 4
+  /// chunks, so the z-update of a small batched fit runs on 4 threads
+  /// instead of one; NumFixedChunks' 64-chunk cap bounds the partials of
+  /// large networks.
   static constexpr std::size_t kBilinearReduceGrain = 256;
 
   /// Empty 0x0 matrix.
@@ -53,6 +54,13 @@ class SparseMatrix {
   /// Assembles from triplets, summing duplicates.
   static SparseMatrix FromTriplets(std::size_t rows, std::size_t cols,
                                    std::vector<Triplet> triplets);
+
+  /// Takes CSR arrays as they are: rows + 1 offsets, columns ascending and
+  /// in range within each row, one value per column.
+  static SparseMatrix FromCsr(std::size_t rows, std::size_t cols,
+                              std::vector<std::size_t> row_ptr,
+                              std::vector<std::uint32_t> col_idx,
+                              std::vector<double> values);
 
   /// Converts a dense matrix, dropping entries with |v| <= tol.
   static SparseMatrix FromDense(const DenseMatrix& dense, double tol = 0.0);
@@ -96,19 +104,6 @@ class SparseMatrix {
   /// y = this * x. Requires x.size() == cols().
   Vector MatVec(const Vector& x) const;
 
-  /// MatVec into a caller-owned vector: y is resized to rows() and every
-  /// entry overwritten. Steady-state calls with a warm y allocate nothing.
-  void MatVecInto(const Vector& x, Vector* y) const;
-
-  /// y = this^T * x. Requires x.size() == rows().
-  Vector TransposeMatVec(const Vector& x) const;
-
-  /// TransposeMatVec into a caller-owned vector, with the ordered per-chunk
-  /// scatter partials drawn from `ws` instead of a fresh allocation. Same
-  /// chunk layout and merge order as TransposeMatVec — bit-identical.
-  void TransposeMatVecInto(const Vector& x, Vector* y,
-                           PanelWorkspace* ws) const;
-
   /// Sum over each row -> vector of length rows().
   Vector RowSums() const;
 
@@ -150,9 +145,9 @@ class SparseMatrix {
 
   // Multi-RHS panel kernels (see la/panel.h). Each operates on the leading
   // `width` columns of its row-major panels (physical column stride =
-  // panel.cols()) and streams the CSR structure once for all columns. Per
-  // column they run exactly the float ops of the single-vector kernel in
-  // the same order, so results are bit-identical to `width` separate calls.
+  // panel.cols()) and streams the CSR structure once for all columns. Every
+  // column runs the same float ops in the same order at any width, so
+  // results are bit-identical to `width` separate width-1 calls.
 
   /// y(:, c) = this * x(:, c) for c in [0, width). Requires
   /// x.rows() == cols(), y->rows() == rows(), matching column strides.
@@ -161,7 +156,7 @@ class SparseMatrix {
 
   /// y(:, c) = this^T * x(:, c) for c in [0, width). Requires
   /// x.rows() == rows(), y->rows() == cols(). Uses `ws` for the ordered
-  /// per-chunk scatter partials (same chunk layout as TransposeMatVec).
+  /// per-chunk scatter partials (fixed chunk layout by row count).
   void TransposeMatMulPanel(const DenseMatrix& x, std::size_t width,
                             DenseMatrix* y, PanelWorkspace* ws) const;
 

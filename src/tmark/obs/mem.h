@@ -13,7 +13,7 @@
 // Note VmHWM is monotone within a process — it never goes back down — so
 // comparative experiments (compact vs. wide indices) must use the analytic
 // structure-byte accounting (la::SparseMatrix::StructureBytes,
-// tensor::SparseTensor3::MergedViewStorageBytes) and record the RSS only as
+// tensor::TransitionTensors::StorageBytes) and record the RSS only as
 // corroborating context.
 
 #include <cstdint>

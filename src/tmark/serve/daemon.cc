@@ -74,10 +74,10 @@ Result<Response> ServingDaemon::Execute(const Request& request) {
   obs::IncrCounter("serve.requests");
   TMARK_ASSIGN_OR_RETURN(hin::HinDelta delta,
                          hin::LoadHinDeltaFromFile(request.path));
-  TMARK_RETURN_IF_ERROR(BeginUpdate(std::move(delta)));
   // Answer with the generation the background refresh is about to replace;
   // stale = true tells the client a refresh window is open.
-  const BundleHolder::View view = bundles_.Acquire();
+  TMARK_ASSIGN_OR_RETURN(const BundleHolder::View view,
+                         BeginUpdate(std::move(delta)));
   Response response;
   response.kind = RequestKind::kUpdate;
   response.stale = view.stale;
@@ -107,7 +107,7 @@ Status ServingDaemon::ApplyUpdate(const hin::HinDelta& delta) {
   return Status::Ok();
 }
 
-Status ServingDaemon::BeginUpdate(hin::HinDelta delta) {
+Result<BundleHolder::View> ServingDaemon::BeginUpdate(hin::HinDelta delta) {
   std::lock_guard<std::mutex> lock(update_mu_);
   if (!initialized_) {
     return FailedPreconditionError("daemon is not initialized");
@@ -122,6 +122,7 @@ Status ServingDaemon::BeginUpdate(hin::HinDelta delta) {
   if (update_thread_.joinable()) update_thread_.join();
   update_running_ = true;
   bundles_.BeginRefresh();
+  const BundleHolder::View view = bundles_.Acquire();
   update_thread_ = std::thread([this, moved = std::move(delta)] {
     // hin_/classifier_/next_generation_ are exclusively this thread's
     // until update_running_ flips back under the mutex: every other writer
@@ -139,7 +140,7 @@ Status ServingDaemon::BeginUpdate(hin::HinDelta delta) {
     last_update_status_ = std::move(status);
     update_running_ = false;
   });
-  return Status::Ok();
+  return view;
 }
 
 Status ServingDaemon::WaitForUpdate() {

@@ -69,7 +69,9 @@ class ServingDaemon {
   Status ApplyUpdate(const hin::HinDelta& delta);
 
   /// Background update; kFailedPrecondition when one is already running.
-  Status BeginUpdate(hin::HinDelta delta);
+  /// Returns the view the refresh is about to replace, stale, taken before
+  /// the refresh thread starts (so it can never be the refreshed bundle).
+  Result<BundleHolder::View> BeginUpdate(hin::HinDelta delta);
 
   /// Joins a running background update (no-op otherwise) and returns its
   /// status (OK when none ran).

@@ -1,8 +1,6 @@
 #include "tmark/tensor/transition_tensors.h"
 
 #include <algorithm>
-#include <cstring>
-#include <map>
 #include <utility>
 
 #include "tmark/common/check.h"
@@ -12,272 +10,197 @@
 #include "tmark/obs/trace.h"
 
 namespace tmark::tensor {
+namespace {
 
-TransitionTensors TransitionTensors::Build(const SparseTensor3& adjacency) {
-  TMARK_CHECK_MSG(adjacency.IsNonNegative(),
-                  "adjacency tensor must be non-negative");
+// R for one index row (Eq. 2): divides the row's A values `r` in place by
+// their fiber totals sum_k A[i,j,k] and lists the row's linked columns
+// (total > 0) ascending. The totals accumulate in the row's entry order,
+// which is ascending k per column — the same chain, and therefore the same
+// doubles, as SparseTensor3::SumOverRelations. `total` is n zeros on entry
+// and on return.
+void NormalizeFibers(const std::uint32_t* col, double* r, std::size_t count,
+                     std::vector<double>* total,
+                     std::vector<std::uint32_t>* linked) {
+  std::vector<double>& t = *total;
+  for (std::size_t e = 0; e < count; ++e) t[col[e]] += r[e];
+  for (std::size_t e = 0; e < count; ++e) r[e] /= t[col[e]];
+  linked->clear();
+  for (std::size_t e = 0; e < count; ++e) {
+    if (t[col[e]] > 0.0) linked->push_back(col[e]);
+    t[col[e]] = 0.0;  // Also drops repeats of the column from the list.
+  }
+  std::sort(linked->begin(), linked->end());
+}
+
+}  // namespace
+
+TransitionTensors TransitionTensors::Build(
+    const std::vector<la::SparseMatrix>& relations) {
+  TMARK_CHECK_MSG(
+      std::all_of(relations.begin(), relations.end(),
+                  [](const la::SparseMatrix& a) { return a.IsNonNegative(); }),
+      "adjacency tensor must be non-negative");
   obs::TraceSpan span("tensor.transition.build");
   obs::ScopedTimer timer("tensor.transition.build_ms");
-  const std::size_t n = adjacency.num_nodes();
-  const std::size_t m = adjacency.num_relations();
   TransitionTensors t;
+  // The index takes A's values into r, where they are normalized in place.
+  t.index_ = EntryIndex::FromSlices(relations, &t.r_);
+  const std::size_t n = t.index_.num_nodes();
   t.n_ = n;
-  t.m_ = m;
-  t.dangling_cols_.resize(m);
+  t.m_ = relations.size();
 
-  // O: column-normalize each slice; remember which (j,k) columns were empty.
-  std::vector<la::SparseMatrix> o_slices;
-  o_slices.reserve(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    std::vector<bool> dangling;
-    o_slices.push_back(adjacency.Slice(k).NormalizeColumnsSparse(&dangling));
-    for (std::size_t j = 0; j < n; ++j) {
-      if (dangling[j]) {
-        t.dangling_cols_[k].push_back(static_cast<std::uint32_t>(j));
-      }
-    }
-  }
-  t.o_ = SparseTensor3::FromSlices(std::move(o_slices));
-
-  // R: normalize each (i,j) fiber over k. totals[i][j] = sum_k A[i,j,k]
-  // is only needed on the union support, which is SumOverRelations().
-  const la::SparseMatrix totals = adjacency.SumOverRelations();
-  const la::IndexArray& totals_row_ptr = totals.row_ptr();
-  const std::vector<std::uint32_t>& totals_cols = totals.col_idx();
-  const std::vector<double>& totals_vals = totals.values();
-  std::vector<la::SparseMatrix> r_slices;
-  r_slices.reserve(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    la::SparseMatrix slice = adjacency.Slice(k);  // copy, then scale in place
-    std::vector<double>& vals = slice.mutable_values();
-    for (std::size_t i = 0; i < n; ++i) {
-      // Merged CSR row walk: both rows are column-sorted and the totals row
-      // supports a superset of the slice row, so one forward cursor finds
-      // every divisor in O(nnz) total (vs. a binary search per entry). The
-      // fetched divisor is the same double as before, so R is unchanged.
-      std::size_t t_pos = totals_row_ptr[i];
-      const std::size_t t_end = totals_row_ptr[i + 1];
-      for (std::size_t p = slice.row_ptr()[i]; p < slice.row_ptr()[i + 1];
-           ++p) {
-        const std::uint32_t j = slice.col_idx()[p];
-        while (t_pos < t_end && totals_cols[t_pos] < j) ++t_pos;
-        // The total is > 0 because this (i,j) pair has a stored entry in
-        // slice k; the cursor must land on it while still inside row i.
-        TMARK_CHECK_MSG(t_pos < t_end && totals_cols[t_pos] == j,
-                        "R-normalization: totals row " << i
-                            << " is missing column " << j
-                            << " (superset invariant violated)");
-        vals[p] /= totals_vals[t_pos];
-      }
-    }
-    r_slices.push_back(std::move(slice));
-  }
-  t.r_ = SparseTensor3::FromSlices(std::move(r_slices));
-
-  // Linked mask: 1.0 wherever any relation links (i, j).
+  // R row by row, and the linked mask from the same totals.
   {
-    std::vector<la::Triplet> trips;
-    trips.reserve(totals.NumNonZeros());
+    std::vector<double> total(n, 0.0);
+    std::vector<std::uint32_t> linked;
+    std::vector<std::size_t> mask_ptr(n + 1, 0);
+    std::vector<std::uint32_t> mask_col;
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t p = totals.row_ptr()[i]; p < totals.row_ptr()[i + 1];
-           ++p) {
-        if (totals.values()[p] > 0.0) {
-          trips.push_back(
-              {static_cast<std::uint32_t>(i), totals.col_idx()[p], 1.0});
-        }
-      }
+      const std::size_t begin = t.index_.RowBegin(i);
+      NormalizeFibers(t.index_.col().data() + begin, t.r_.data() + begin,
+                      t.index_.RowEnd(i) - begin, &total, &linked);
+      mask_col.insert(mask_col.end(), linked.begin(), linked.end());
+      mask_ptr[i + 1] = mask_col.size();
     }
-    t.linked_mask_ = la::SparseMatrix::FromTriplets(n, n, std::move(trips));
+    std::vector<double> ones(mask_col.size(), 1.0);
+    t.linked_mask_ = la::SparseMatrix::FromCsr(
+        n, n, std::move(mask_ptr), std::move(mask_col), std::move(ones));
   }
-  // Build the merged panel-contraction views up front: the operators are
-  // immutable from here on, and preparing them now keeps the panel kernels
-  // safe to call from several fits concurrently (lazy build mutates).
-  t.o_.PrepareMergedView();
-  t.r_.PrepareMergedView();
+
+  // O relation by relation.
+  t.o_.resize(t.r_.size());
+  t.dangling_cols_.resize(t.m_);
+  for (std::size_t k = 0; k < t.m_; ++k) t.NormalizeRelation(k, relations[k]);
+
   if (obs::MetricsEnabled()) {
     obs::IncrCounter("tensor.transition.builds");
     obs::SetGauge("tensor.transition.nnz_o",
-                  static_cast<double>(t.o_.NumNonZeros()));
+                  static_cast<double>(t.o_.size()));
     obs::SetGauge("tensor.transition.nnz_r",
-                  static_cast<double>(t.r_.NumNonZeros()));
-    // Scaling telemetry: structure footprint of the merged views and the
-    // offset width the IndexArrays picked (docs/PERFORMANCE.md "Scaling").
-    obs::SetGauge("tensor.merged.bytes",
-                  static_cast<double>(t.o_.MergedViewStorageBytes() +
-                                      t.r_.MergedViewStorageBytes()));
-    obs::SetGauge("tensor.merged.index_bits",
-                  static_cast<double>(std::max(t.o_.MergedViewIndexBits(),
-                                               t.r_.MergedViewIndexBits())));
+                  static_cast<double>(t.r_.size()));
+    t.RecordGauges();
   }
   if (span.active()) {
     span.AddField("nodes", n);
-    span.AddField("relations", m);
-    span.AddField("nnz", adjacency.NumNonZeros());
+    span.AddField("relations", t.m_);
+    span.AddField("nnz", t.index_.num_entries());
   }
   return t;
 }
 
+void TransitionTensors::NormalizeRelation(std::size_t k,
+                                          const la::SparseMatrix& a) {
+  // a * (1 / column sum), as la::SparseMatrix::NormalizeColumnsSparse
+  // computes it; a column without mass becomes dangling.
+  const la::Vector sums = a.ColumnSums();
+  la::Vector inv(n_, 0.0);
+  dangling_cols_[k].clear();
+  for (std::size_t j = 0; j < n_; ++j) {
+    if (sums[j] > 0.0) {
+      inv[j] = 1.0 / sums[j];
+    } else {
+      dangling_cols_[k].push_back(static_cast<std::uint32_t>(j));
+    }
+  }
+  for (std::size_t i = 0; i < n_; ++i) {
+    const std::size_t begin = a.row_ptr()[i];
+    const std::size_t end = a.row_ptr()[i + 1];
+    if (begin == end) continue;
+    // Slice k's row i is the index's run (i, k), entry for entry.
+    const auto [first, last] = index_.RelationEntries(i, k);
+    TMARK_CHECK_MSG(last - first == end - begin,
+                    "relation " << k << " row " << i
+                                << " does not match the index");
+    double* o = o_.data() + first;
+    for (std::size_t p = begin; p < end; ++p) {
+      *o++ = a.values()[p] * inv[a.col_idx()[p]];
+    }
+  }
+}
+
+std::size_t TransitionTensors::StorageBytes() const {
+  return index_.StorageBytes() + (o_.size() + r_.size()) * sizeof(double);
+}
+
+void TransitionTensors::RecordGauges() const {
+  // Scaling telemetry: operator footprint and the offset width the
+  // IndexArrays picked (docs/PERFORMANCE.md "Scaling").
+  obs::SetGauge("tensor.merged.bytes", static_cast<double>(StorageBytes()));
+  obs::SetGauge("tensor.merged.index_bits",
+                static_cast<double>(index_.IndexBits()));
+}
+
 std::size_t TransitionTensors::ApplyPatch(
-    const std::vector<const la::SparseMatrix*>& adjacency,
+    const std::vector<la::SparseMatrix>& adjacency,
     const AdjacencyDelta& delta) {
   TMARK_CHECK(adjacency.size() == m_);
   obs::TraceSpan span("tensor.transition.patch");
   obs::ScopedTimer timer("tensor.transition.patch_ms");
-  std::size_t rows_touched = 0;
-
-  // O: renormalize the edited slices through the full-build kernel
-  // (NormalizeColumnsSparse on the mutated adjacency slice — the identical
-  // computation Build runs, so the slice is bit-identical by construction),
-  // and rebuild their dangling-column lists wholesale.
   std::vector<char> edited(m_, 0);
   for (std::size_t k : delta.relations) {
     TMARK_CHECK(k < m_);
     edited[k] = 1;
-    std::vector<bool> dangling;
-    la::SparseMatrix o_new = adjacency[k]->NormalizeColumnsSparse(&dangling);
-    dangling_cols_[k].clear();
-    for (std::size_t j = 0; j < n_; ++j) {
-      if (dangling[j]) {
-        dangling_cols_[k].push_back(static_cast<std::uint32_t>(j));
-      }
-    }
-    rows_touched += o_.ReplaceSlice(k, std::move(o_new));
   }
 
-  // Totals sum_k A[i,j,k] for the pairs that need one, accumulated over
-  // relations in ascending k — the same sequential chain (and therefore the
-  // same doubles) as the full build's SumOverRelations. Relations without
-  // the entry contribute +0.0, a bit-level no-op on the positive partials.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, double> totals;
-  const auto total_of = [&](std::uint32_t i, std::uint32_t j) {
-    const auto it = totals.find({i, j});
-    if (it != totals.end()) return it->second;
-    double total = 0.0;
-    for (std::size_t k = 0; k < m_; ++k) total += adjacency[k]->At(i, j);
-    totals.emplace(std::make_pair(i, j), total);
-    return total;
-  };
-
-  // R: rows whose stored structure changed are regenerated wholesale (every
-  // entry re-divided — unchanged pairs fetch the same totals, hence the
-  // same doubles); every other affected pair gets a value-only edit at the
-  // entry position the aligned adjacency structure dictates.
-  for (std::size_t k = 0; k < m_; ++k) {
-    const la::SparseMatrix& adj = *adjacency[k];
-    std::vector<std::uint32_t> structural_rows;
-    if (edited[k]) {
-      const la::SparseMatrix& old_r = r_.Slice(k);
-      std::vector<la::RowEdit> row_edits;
-      for (std::size_t i = 0; i < n_; ++i) {
-        const std::size_t ob = old_r.row_ptr()[i];
-        const std::size_t oe = old_r.row_ptr()[i + 1];
-        const std::size_t nb = adj.row_ptr()[i];
-        const std::size_t ne = adj.row_ptr()[i + 1];
-        bool structural = (oe - ob) != (ne - nb);
-        if (!structural && oe != ob) {
-          structural = std::memcmp(old_r.col_idx().data() + ob,
-                                   adj.col_idx().data() + nb,
-                                   (oe - ob) * sizeof(std::uint32_t)) != 0;
-        }
-        if (!structural) continue;
-        structural_rows.push_back(static_cast<std::uint32_t>(i));
-        la::RowEdit e;
-        e.row = i;
-        e.cols.assign(adj.col_idx().begin() + nb, adj.col_idx().begin() + ne);
-        e.values.reserve(ne - nb);
-        for (std::size_t p = nb; p < ne; ++p) {
-          e.values.push_back(
-              adj.values()[p] /
-              total_of(static_cast<std::uint32_t>(i), adj.col_idx()[p]));
-        }
-        row_edits.push_back(std::move(e));
-      }
-      if (!row_edits.empty()) {
-        rows_touched += r_.PatchSliceRows(k, std::move(row_edits));
-      }
+  // Re-read every destination row of a changed pair. Its R values come out
+  // of the build's own row normalization; unchanged pairs fetch the same
+  // totals, hence the same doubles. A row that kept its layout is
+  // overwritten in place; the others are collected for one splice.
+  std::vector<double> total(n_, 0.0);
+  std::vector<std::uint32_t> linked;
+  std::vector<EntryIndex::Row> spliced;
+  std::vector<la::RowEdit> mask_edits;
+  std::size_t rows_touched = 0;
+  for (std::size_t p = 0; p < delta.pairs.size(); ++p) {
+    const std::uint32_t i = delta.pairs[p].first;
+    TMARK_CHECK(i < n_);
+    if (p > 0 && delta.pairs[p - 1].first == i) continue;
+    ++rows_touched;
+    EntryIndex::Row row = EntryIndex::ReadRow(adjacency, i);
+    std::vector<double>& r = row.values[0];
+    NormalizeFibers(row.col.data(), r.data(), r.size(), &total, &linked);
+    const std::size_t mb = linked_mask_.row_ptr()[i];
+    const std::size_t me = linked_mask_.row_ptr()[i + 1];
+    if (!std::equal(linked.begin(), linked.end(),
+                    linked_mask_.col_idx().begin() + mb,
+                    linked_mask_.col_idx().begin() + me)) {
+      mask_edits.push_back(
+          {i, linked, std::vector<double>(linked.size(), 1.0)});
     }
-    std::vector<std::pair<std::size_t, double>> value_edits;
-    for (const std::pair<std::uint32_t, std::uint32_t>& pr : delta.pairs) {
-      if (std::binary_search(structural_rows.begin(), structural_rows.end(),
-                             pr.first)) {
-        continue;
-      }
-      const std::size_t pos = adj.FindEntry(pr.first, pr.second);
-      if (pos == la::SparseMatrix::npos) continue;
-      value_edits.emplace_back(pos,
-                               adj.values()[pos] /
-                                   total_of(pr.first, pr.second));
+    if (index_.SameLayout(row)) {
+      std::copy(r.begin(), r.end(), r_.begin() + index_.RowBegin(i));
+      continue;
     }
-    if (!value_edits.empty()) {
-      rows_touched += r_.PatchSliceValues(k, value_edits);
+    // O values of unedited relations carry over from the old row; the
+    // edited relations' are recomputed below.
+    std::vector<double> o(r.size(), 0.0);
+    for (std::size_t s = 0; s < row.seg_k.size(); ++s) {
+      const std::size_t k = row.seg_k[s];
+      if (edited[k]) continue;
+      const std::size_t begin = s == 0 ? 0 : row.seg_end[s - 1];
+      const auto [first, last] = index_.RelationEntries(i, k);
+      TMARK_CHECK(last - first == row.seg_end[s] - begin);
+      std::copy(o_.begin() + first, o_.begin() + last, o.begin() + begin);
     }
+    row.values.insert(row.values.begin(), std::move(o));
+    spliced.push_back(std::move(row));
   }
+  index_.SpliceRows(spliced, {&o_, &r_});
 
-  // Linked mask: splice the pairs that transitioned linked <-> unlinked
-  // (values all 1.0, columns kept sorted — the content FromTriplets on the
-  // mutated totals support would assemble).
-  {
-    std::map<std::uint32_t, std::vector<std::pair<std::uint32_t, bool>>>
-        changes;
-    for (const std::pair<std::uint32_t, std::uint32_t>& pr : delta.pairs) {
-      const bool now = total_of(pr.first, pr.second) > 0.0;
-      const bool was =
-          linked_mask_.FindEntry(pr.first, pr.second) != la::SparseMatrix::npos;
-      if (now != was) changes[pr.first].emplace_back(pr.second, now);
-    }
-    if (!changes.empty()) {
-      std::vector<la::RowEdit> edits;
-      edits.reserve(changes.size());
-      for (auto& change : changes) {
-        const std::uint32_t i = change.first;
-        std::vector<std::pair<std::uint32_t, bool>>& mods = change.second;
-        std::sort(mods.begin(), mods.end());
-        la::RowEdit e;
-        e.row = i;
-        std::size_t mp = 0;
-        for (std::size_t p = linked_mask_.row_ptr()[i];
-             p < linked_mask_.row_ptr()[i + 1]; ++p) {
-          const std::uint32_t c = linked_mask_.col_idx()[p];
-          while (mp < mods.size() && mods[mp].first < c) {
-            if (mods[mp].second) {
-              e.cols.push_back(mods[mp].first);
-              e.values.push_back(1.0);
-            }
-            ++mp;
-          }
-          if (mp < mods.size() && mods[mp].first == c) {
-            ++mp;  // A stored column in the change list is a removal.
-            continue;
-          }
-          e.cols.push_back(c);
-          e.values.push_back(1.0);
-        }
-        for (; mp < mods.size(); ++mp) {
-          if (mods[mp].second) {
-            e.cols.push_back(mods[mp].first);
-            e.values.push_back(1.0);
-          }
-        }
-        edits.push_back(std::move(e));
-      }
-      linked_mask_.ApplyRowEdits(std::move(edits));
-    }
-  }
+  // O: the edited relations renormalize through the build's own routine.
+  for (std::size_t k : delta.relations) NormalizeRelation(k, adjacency[k]);
+
+  // Linked mask: replace the rows whose linked columns changed.
+  if (!mask_edits.empty()) linked_mask_.ApplyRowEdits(std::move(mask_edits));
 
   obs::IncrCounter("update.rows_touched",
                    static_cast<std::int64_t>(rows_touched));
-  if (obs::MetricsEnabled()) {
-    obs::SetGauge("tensor.merged.bytes",
-                  static_cast<double>(o_.MergedViewStorageBytes() +
-                                      r_.MergedViewStorageBytes()));
-    obs::SetGauge("tensor.merged.index_bits",
-                  static_cast<double>(std::max(o_.MergedViewIndexBits(),
-                                               r_.MergedViewIndexBits())));
-  }
+  if (obs::MetricsEnabled()) RecordGauges();
   if (span.active()) {
     span.AddField("relations", delta.relations.size());
     span.AddField("pairs", delta.pairs.size());
     span.AddField("rows", rows_touched);
+    span.AddField("spliced", spliced.size());
   }
   return rows_touched;
 }
@@ -290,7 +213,7 @@ void TransitionTensors::ApplyOPanel(const la::DenseMatrix& x,
   TMARK_CHECK(y != nullptr && ws != nullptr);
   TMARK_CHECK(x.rows() == n_ && z.rows() == m_ && y->rows() == n_);
   TMARK_CHECK(width <= x.cols());
-  o_.ContractMode1Panel(x, z, width, y, ws);
+  index_.ContractMode1Panel(o_, x, z, width, y, ws);
   // Dangling correction: every empty column (j,k) contributes
   // x_j * z_k * (1/n) to every output coordinate. Per column the
   // per-relation terms z(k, c) * colsum accumulate in ascending k and each
@@ -331,7 +254,7 @@ void TransitionTensors::ApplyRPanel(const la::DenseMatrix& x,
   TMARK_CHECK(width <= x.cols());
   TMARK_CHECK(x_sums == nullptr || x_sums->size() >= width);
   TMARK_CHECK(y_sums == nullptr || y_sums->size() >= width);
-  r_.ContractMode3Panel(x, y, width, w, ws);
+  index_.ContractMode3Panel(r_, x, y, width, w, ws);
   // Dangling-fiber correction per column: unlinked (i,j) pairs carry the
   // uniform fiber 1/m, and sum_{unlinked} x_i y_j = Sum(x) * Sum(y) -
   // sum_{linked} x_i y_j, so add = (Sum(x) * Sum(y) - linked) / m goes to
@@ -378,14 +301,16 @@ double TransitionTensors::OEntry(std::size_t i, std::size_t j,
                          static_cast<std::uint32_t>(j))) {
     return 1.0 / static_cast<double>(n_);
   }
-  return o_.At(i, j, k);
+  const std::size_t e = index_.Find(i, j, k);
+  return e == EntryIndex::npos ? 0.0 : o_[e];
 }
 
 double TransitionTensors::REntry(std::size_t i, std::size_t j,
                                  std::size_t k) const {
   TMARK_CHECK(i < n_ && j < n_ && k < m_);
   if (linked_mask_.At(i, j) == 0.0) return 1.0 / static_cast<double>(m_);
-  return r_.At(i, j, k);
+  const std::size_t e = index_.Find(i, j, k);
+  return e == EntryIndex::npos ? 0.0 : r_[e];
 }
 
 la::DenseMatrix TransitionTensors::DenseOSlice(std::size_t k) const {

@@ -9,7 +9,7 @@
 #include "tmark/la/dense_matrix.h"
 #include "tmark/la/sparse_matrix.h"
 #include "tmark/la/vector_ops.h"
-#include "tmark/tensor/sparse_tensor3.h"
+#include "tmark/tensor/entry_index.h"
 
 namespace tmark::tensor {
 
@@ -21,6 +21,9 @@ namespace tmark::tensor {
 ///   R[i,j,k] = A[i,j,k] / sum_k A[i,j,k]   — probability of using relation k
 ///              given a step from node j to node i.
 ///
+/// O and R have exactly A's support, so they share one EntryIndex of A's D
+/// stored entries and differ only in their two value arrays.
+///
 /// Dangling handling follows the paper: a (j,k) column of O whose sum is
 /// zero becomes the uniform column 1/n, and an (i,j) fiber of R with no link
 /// in any relation becomes the uniform fiber 1/m. Neither uniform block is
@@ -29,8 +32,10 @@ namespace tmark::tensor {
 /// (Sec. 4.5 complexity analysis).
 class TransitionTensors {
  public:
-  /// Builds O and R from a non-negative adjacency tensor.
-  static TransitionTensors Build(const SparseTensor3& adjacency);
+  /// Builds O and R from the relation slices of a non-negative adjacency
+  /// tensor (all n x n, at least one).
+  static TransitionTensors Build(
+      const std::vector<la::SparseMatrix>& relations);
 
   std::size_t num_nodes() const { return n_; }
   std::size_t num_relations() const { return m_; }
@@ -84,10 +89,17 @@ class TransitionTensors {
   /// Dense n x n materialization of slice R(:,:,k).
   la::DenseMatrix DenseRSlice(std::size_t k) const;
 
-  /// Stored (sparse) part of O — excludes the implicit dangling columns.
-  const SparseTensor3& o_stored() const { return o_; }
-  /// Stored (sparse) part of R — excludes the implicit dangling fibers.
-  const SparseTensor3& r_stored() const { return r_; }
+  /// Row-major index of A's stored entries, shared by O and R.
+  const EntryIndex& index() const { return index_; }
+  /// Stored values of O in index order — excludes the implicit dangling
+  /// columns.
+  const std::vector<double>& o_values() const { return o_; }
+  /// Stored values of R in index order — excludes the implicit dangling
+  /// fibers.
+  const std::vector<double>& r_values() const { return r_; }
+
+  /// Bytes held by the index and both value arrays.
+  std::size_t StorageBytes() const;
 
   /// Per-relation list of dangling source columns j (sum_i A[i,j,k] == 0).
   const std::vector<std::vector<std::uint32_t>>& dangling_columns() const {
@@ -107,26 +119,34 @@ class TransitionTensors {
   };
 
   /// Incrementally re-derives O, R, the dangling-column lists, and the
-  /// linked mask after the adjacency mutated: the edited O slices
-  /// renormalize through the exact full-build kernel, affected R rows
-  /// re-divide against totals recomputed in the full build's accumulation
-  /// order, and the merged views patch in place (see SparseTensor3).
-  /// `adjacency` holds the POST-mutation
-  /// relation slices (one per relation, all n x n); requires this operator
-  /// set was built from the pre-mutation adjacency and `delta` covers every
-  /// change. The patched operators are bit-identical to Build() on the
-  /// mutated adjacency. Returns the number of merged-view rows refreshed
-  /// (also added to the "update.rows_touched" counter).
-  std::size_t ApplyPatch(const std::vector<const la::SparseMatrix*>& adjacency,
+  /// linked mask after the adjacency mutated. Every destination row i of a
+  /// changed pair is re-read from the adjacency: its R values re-divide by
+  /// their new totals, and a row whose structure changed is re-spliced into
+  /// the index once, carrying both value arrays. The edited relations' O
+  /// values and dangling lists are then recomputed with the build's
+  /// normalization. `adjacency` holds the POST-mutation relation slices
+  /// (one per relation, all n x n); requires this operator set was built
+  /// from the pre-mutation adjacency and `delta` covers every change. The
+  /// patched operators are bit-identical to Build() on the mutated
+  /// adjacency. Returns the number of index rows re-read (also added to
+  /// the "update.rows_touched" counter).
+  std::size_t ApplyPatch(const std::vector<la::SparseMatrix>& adjacency,
                          const AdjacencyDelta& delta);
 
  private:
   TransitionTensors() : n_(0), m_(0) {}
 
+  /// Rewrites O for every stored entry of relation k from slice `a` (Eq. 1)
+  /// and re-lists its dangling columns.
+  void NormalizeRelation(std::size_t k, const la::SparseMatrix& a);
+  /// Records the tensor.merged.* gauges.
+  void RecordGauges() const;
+
   std::size_t n_;
   std::size_t m_;
-  SparseTensor3 o_;
-  SparseTensor3 r_;
+  EntryIndex index_;
+  std::vector<double> o_;  ///< O value per index entry.
+  std::vector<double> r_;  ///< R value per index entry.
   /// For each relation k, the columns j with no stored entry (dangling).
   std::vector<std::vector<std::uint32_t>> dangling_cols_;
   /// 1.0 at every (i,j) that is linked through at least one relation.

@@ -48,7 +48,7 @@ TEST(PaperExampleTest, CosineMatrixMatchesSection43) {
 TEST(PaperExampleTest, TransitionOColumnsNormalized) {
   const hin::Hin hin = MakePaperExample();
   const tensor::TransitionTensors t =
-      tensor::TransitionTensors::Build(hin.ToAdjacencyTensor());
+      tensor::TransitionTensors::Build(hin.relations());
   // Column (j=2, k=1): p3's citations go to p2 and p4 with weight 1/2 each
   // (Fig. 3's O).
   EXPECT_DOUBLE_EQ(t.OEntry(1, 2, 1), 0.5);
@@ -60,7 +60,7 @@ TEST(PaperExampleTest, TransitionOColumnsNormalized) {
 TEST(PaperExampleTest, TransitionRFibersNormalized) {
   const hin::Hin hin = MakePaperExample();
   const tensor::TransitionTensors t =
-      tensor::TransitionTensors::Build(hin.ToAdjacencyTensor());
+      tensor::TransitionTensors::Build(hin.relations());
   // Pair (0, 1) (p1 <- p2) is linked only by co-author -> R = 1 there.
   EXPECT_DOUBLE_EQ(t.REntry(0, 1, 0), 1.0);
   EXPECT_DOUBLE_EQ(t.REntry(0, 1, 1), 0.0);

@@ -56,7 +56,7 @@ TEST(WeightedHinTest, HeavierEdgeWinsTheContestedNode) {
 TEST(WeightedHinTest, WeightsChangeTransitionProbabilities) {
   const hin::Hin hin = ContestedHin(3.0, 1.0);
   const tensor::TransitionTensors t =
-      tensor::TransitionTensors::Build(hin.ToAdjacencyTensor());
+      tensor::TransitionTensors::Build(hin.relations());
   // Column j = 2 (walking out of the contested node): 3:1 split between the
   // anchors (nodes 0 and 1).
   EXPECT_DOUBLE_EQ(t.OEntry(0, 2, 0), 0.75);

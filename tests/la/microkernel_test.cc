@@ -75,12 +75,6 @@ TEST(MicrokernelTest, PrimitivesMatchScalarLoopsAtEveryWidth) {
       for (std::size_t c = 0; c < w; ++c) want[c] = 0.0;
       ExpectEqualAndPadded(got, want, w, "Zero");
     }
-    {  // Copy
-      std::vector<double> got = MakeBuf(w, 3), want = got;
-      mk::Copy(got.data(), a.data(), w);
-      for (std::size_t c = 0; c < w; ++c) want[c] = a[c];
-      ExpectEqualAndPadded(got, want, w, "Copy");
-    }
     {  // Scale
       std::vector<double> got = MakeBuf(w, 3), want = got;
       mk::Scale(got.data(), 0.731, w);

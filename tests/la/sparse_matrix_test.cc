@@ -59,6 +59,15 @@ TEST(SparseMatrixTest, AtReturnsStoredAndZero) {
   EXPECT_THROW(m.At(2, 0), CheckError);
 }
 
+TEST(SparseMatrixTest, FromCsrTakesTheArrays) {
+  const SparseMatrix m =
+      SparseMatrix::FromCsr(2, 3, {0, 2, 3}, {0, 2, 2}, {1.0, 2.0, 3.0});
+  EXPECT_DOUBLE_EQ(m.ToDense().MaxAbsDiff(Sample().ToDense()), 0.0);
+  EXPECT_EQ(m.row_ptr().ToVector(), Sample().row_ptr().ToVector());
+  EXPECT_THROW(SparseMatrix::FromCsr(2, 3, {0, 2}, {0, 2}, {1.0, 2.0}),
+               CheckError);
+}
+
 TEST(SparseMatrixTest, FromDenseRoundTrip) {
   const DenseMatrix d =
       DenseMatrix::FromRows({{0.0, 1.5, 0.0}, {2.0, 0.0, -1.0}});
@@ -84,9 +93,16 @@ TEST(SparseMatrixTest, TransposeMatVecMatchesDense) {
   const DenseMatrix d = s.ToDense();
   Vector x(7);
   for (double& v : x) v = rng.Uniform(-1.0, 1.0);
-  const Vector ys = s.TransposeMatVec(x);
+  // y = s^T x as a width-1 panel.
+  DenseMatrix xp(7, 1);
+  SetColumn(x, 0, &xp);
+  DenseMatrix yp(11, 1, -1.0);
+  PanelWorkspace ws;
+  s.TransposeMatMulPanel(xp, 1, &yp, &ws);
   const Vector yd = d.TransposeMatVec(x);
-  for (std::size_t i = 0; i < ys.size(); ++i) EXPECT_NEAR(ys[i], yd[i], 1e-12);
+  for (std::size_t i = 0; i < yd.size(); ++i) {
+    EXPECT_NEAR(yp.At(i, 0), yd[i], 1e-12);
+  }
 }
 
 TEST(SparseMatrixTest, RowAndColumnSums) {

@@ -31,7 +31,6 @@
 #include "tmark/la/sparse_matrix.h"
 #include "tmark/la/vector_ops.h"
 #include "tmark/parallel/thread_pool.h"
-#include "tmark/tensor/sparse_tensor3.h"
 #include "tmark/tensor/transition_tensors.h"
 
 namespace {
@@ -86,12 +85,12 @@ la::SparseMatrix MakeSparse(std::size_t rows, std::size_t cols,
   return la::SparseMatrix::FromTriplets(rows, cols, std::move(triplets));
 }
 
-tensor::SparseTensor3 MakeTensor() {
-  std::vector<la::SparseMatrix> slices;
+std::vector<la::SparseMatrix> MakeRelations() {
+  std::vector<la::SparseMatrix> relations;
   for (std::size_t k = 0; k < kRelations; ++k) {
-    slices.push_back(MakeSparse(kNodes, kNodes, 3 + k));
+    relations.push_back(MakeSparse(kNodes, kNodes, 3 + k));
   }
-  return tensor::SparseTensor3::FromSlices(std::move(slices));
+  return relations;
 }
 
 la::Vector MakeProb(std::size_t n, std::size_t salt) {
@@ -121,17 +120,18 @@ TEST(SteadyStateAllocTest, SparseMatrixKernelsAllocateNothingWhenWarm) {
   ThreadCountGuard guard;
   parallel::SetNumThreads(1);
   const la::SparseMatrix a = MakeSparse(kNodes, kNodes, 1);
-  const la::Vector x = MakeProb(kNodes, 1);
+  const la::DenseMatrix x = MakeProbPanel(kNodes, 1, 1);
   const la::DenseMatrix xp = MakeProbPanel(kNodes, kWidth, 2);
   const la::DenseMatrix yp_in = MakeProbPanel(kNodes, kWidth, 3);
-  la::Vector y;
+  la::DenseMatrix y(kNodes, 1);
   la::DenseMatrix panel_out(kNodes, kWidth);
   la::Vector bilinear_out(kWidth);
   la::PanelWorkspace ws;
 
-  EXPECT_EQ(WarmAllocs([&] { a.MatVecInto(x, &y); }), 0u) << "MatVecInto";
-  EXPECT_EQ(WarmAllocs([&] { a.TransposeMatVecInto(x, &y, &ws); }), 0u)
-      << "TransposeMatVecInto";
+  EXPECT_EQ(WarmAllocs([&] { a.MatMulPanel(x, 1, &y); }), 0u)
+      << "MatMulPanel width 1";
+  EXPECT_EQ(WarmAllocs([&] { a.TransposeMatMulPanel(x, 1, &y, &ws); }), 0u)
+      << "TransposeMatMulPanel width 1";
   EXPECT_EQ(WarmAllocs([&] { a.MatMulPanel(xp, kWidth, &panel_out); }), 0u)
       << "MatMulPanel";
   EXPECT_EQ(
@@ -148,9 +148,9 @@ TEST(SteadyStateAllocTest, SparseMatrixKernelsAllocateNothingWhenWarm) {
 TEST(SteadyStateAllocTest, TensorKernelsAllocateNothingWhenWarm) {
   ThreadCountGuard guard;
   parallel::SetNumThreads(1);
-  const tensor::SparseTensor3 adjacency = MakeTensor();
   const tensor::TransitionTensors tensors =
-      tensor::TransitionTensors::Build(adjacency);
+      tensor::TransitionTensors::Build(MakeRelations());
+  const tensor::EntryIndex& index = tensors.index();
   const la::DenseMatrix xp = MakeProbPanel(kNodes, kWidth, 7);
   const la::DenseMatrix yp = MakeProbPanel(kNodes, kWidth, 8);
   const la::DenseMatrix zp = MakeProbPanel(kRelations, kWidth, 9);
@@ -160,14 +160,16 @@ TEST(SteadyStateAllocTest, TensorKernelsAllocateNothingWhenWarm) {
   la::PanelWorkspace ws;
   la::LeadingColumnSums(xp, kWidth, &x_sums);
 
-  EXPECT_EQ(WarmAllocs(
-                [&] { adjacency.ContractMode1Panel(xp, zp, kWidth, &node_out,
-                                                   &ws); }),
+  EXPECT_EQ(WarmAllocs([&] {
+              index.ContractMode1Panel(tensors.o_values(), xp, zp, kWidth,
+                                       &node_out, &ws);
+            }),
             0u)
       << "ContractMode1Panel";
-  EXPECT_EQ(WarmAllocs(
-                [&] { adjacency.ContractMode3Panel(xp, yp, kWidth, &rel_out,
-                                                   &ws); }),
+  EXPECT_EQ(WarmAllocs([&] {
+              index.ContractMode3Panel(tensors.r_values(), xp, yp, kWidth,
+                                       &rel_out, &ws);
+            }),
             0u)
       << "ContractMode3Panel";
   EXPECT_EQ(

@@ -12,6 +12,8 @@
 #include "tmark/common/random.h"
 #include "tmark/core/tmark.h"
 #include "tmark/datasets/synthetic_hin.h"
+#include "tmark/la/dense_matrix.h"
+#include "tmark/la/panel.h"
 #include "tmark/la/sparse_matrix.h"
 #include "tmark/parallel/thread_pool.h"
 
@@ -77,7 +79,7 @@ TEST(ParallelFitTest, SerialAndParallelFitsAreBitIdentical) {
 
 TEST(ParallelFitTest, ScatterKernelIsBitIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
-  // Large enough that TransposeMatVec splits into several chunks.
+  // Large enough that TransposeMatMulPanel splits into several chunks.
   constexpr std::size_t kRows = 40000;
   constexpr std::size_t kCols = 900;
   Rng rng(7);
@@ -94,17 +96,21 @@ TEST(ParallelFitTest, ScatterKernelIsBitIdenticalAcrossThreadCounts) {
       la::SparseMatrix::FromTriplets(kRows, kCols, std::move(trips));
   la::Vector x(kRows);
   for (double& v : x) v = rng.Uniform() * 2.0 - 1.0;
+  la::DenseMatrix xp(kRows, 1);
+  la::SetColumn(x, 0, &xp);
+  la::PanelWorkspace ws;
 
   parallel::SetNumThreads(1);
-  const la::Vector serial = m.TransposeMatVec(x);
+  la::DenseMatrix serial(kCols, 1);
+  m.TransposeMatMulPanel(xp, 1, &serial, &ws);
   const double serial_bilinear = m.Bilinear(x, la::Vector(kCols, 0.5));
   parallel::SetNumThreads(8);
-  const la::Vector parallel8 = m.TransposeMatVec(x);
+  la::DenseMatrix parallel8(kCols, 1);
+  m.TransposeMatMulPanel(xp, 1, &parallel8, &ws);
   const double parallel_bilinear = m.Bilinear(x, la::Vector(kCols, 0.5));
 
-  ASSERT_EQ(serial.size(), parallel8.size());
-  for (std::size_t c = 0; c < serial.size(); ++c) {
-    EXPECT_EQ(serial[c], parallel8[c]) << "column " << c;
+  for (std::size_t c = 0; c < kCols; ++c) {
+    EXPECT_EQ(serial.At(c, 0), parallel8.At(c, 0)) << "column " << c;
   }
   EXPECT_EQ(serial_bilinear, parallel_bilinear);
 }

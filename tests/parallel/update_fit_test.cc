@@ -4,7 +4,10 @@
 //
 //   * a PreparedOperators bundle patched through ApplyDelta is bit-identical
 //     to a from-scratch rebuild on the mutated HIN: same fingerprint, same
-//     CSR bytes, same merged-view arrays;
+//     index, value arrays, dangling lists and linked mask — for a fixed
+//     mixed delta and for randomized add/remove/reweight batches on
+//     generated and degenerate HINs, whose patched operators must also stay
+//     stochastic and contract like their dense slices;
 //   * TMarkClassifier::Update's warm-started refresh lands within 1e-10 of
 //     a cold fit on the mutated network (the fixed point is unique —
 //     Theorem 3 — so warm and cold runs differ only by their stopping
@@ -16,19 +19,28 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <ostream>
+#include <set>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "tmark/common/random.h"
 #include "tmark/core/prepared_operators.h"
 #include "tmark/core/tmark.h"
 #include "tmark/datasets/synthetic_hin.h"
 #include "tmark/hin/hin.h"
+#include "tmark/hin/hin_builder.h"
 #include "tmark/hin/hin_delta.h"
 #include "tmark/la/dense_matrix.h"
+#include "tmark/la/index_array.h"
 #include "tmark/la/panel.h"
 #include "tmark/la/sparse_matrix.h"
 #include "tmark/parallel/thread_pool.h"
-#include "tmark/tensor/sparse_tensor3.h"
+#include "tmark/tensor/transition_tensors.h"
 
 namespace tmark {
 namespace {
@@ -90,28 +102,43 @@ std::vector<std::size_t> EveryThirdLabeled(const hin::Hin& hin) {
   return labeled;
 }
 
+template <typename T>
+void ExpectSameBytes(const std::vector<T>& a, const std::vector<T>& b,
+                     const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0)
+      << what;
+}
+
+void ExpectSameBytes(const la::IndexArray& a, const la::IndexArray& b,
+                     const char* what) {
+  EXPECT_EQ(a.index_bits(), b.index_bits()) << what;
+  EXPECT_EQ(a.ToVector(), b.ToVector()) << what;
+}
+
 void ExpectMatrixBytesEqual(const la::SparseMatrix& a,
                             const la::SparseMatrix& b, const char* what) {
   ASSERT_EQ(a.rows(), b.rows()) << what;
-  EXPECT_EQ(a.row_ptr().ToVector(), b.row_ptr().ToVector()) << what;
-  EXPECT_EQ(a.col_idx(), b.col_idx()) << what;
-  EXPECT_EQ(a.values(), b.values()) << what;  // exact, not approximate
+  ExpectSameBytes(a.row_ptr(), b.row_ptr(), what);
+  ExpectSameBytes(a.col_idx(), b.col_idx(), what);
+  ExpectSameBytes(a.values(), b.values(), what);
 }
 
-void ExpectTensorBytesEqual(const tensor::SparseTensor3& a,
-                            const tensor::SparseTensor3& b, const char* what) {
-  ASSERT_EQ(a.num_relations(), b.num_relations()) << what;
-  for (std::size_t k = 0; k < a.num_relations(); ++k) {
-    ExpectMatrixBytesEqual(a.Slice(k), b.Slice(k), what);
-  }
-  const tensor::SparseTensor3::MergedView& ma = a.merged_view();
-  const tensor::SparseTensor3::MergedView& mb = b.merged_view();
-  EXPECT_EQ(ma.row_ptr.ToVector(), mb.row_ptr.ToVector()) << what;
-  EXPECT_EQ(ma.seg_k, mb.seg_k) << what;
-  EXPECT_EQ(ma.seg_end.ToVector(), mb.seg_end.ToVector()) << what;
-  EXPECT_EQ(ma.col, mb.col) << what;
-  EXPECT_EQ(ma.val, mb.val) << what;
-  EXPECT_EQ(a.MergedViewIndexBits(), b.MergedViewIndexBits()) << what;
+/// Patched == rebuilt, byte for byte: the shared index, both value arrays,
+/// the dangling lists, the linked mask and the fingerprint.
+void ExpectOperatorsBytesEqual(const core::PreparedOperators& patched,
+                               const core::PreparedOperators& rebuilt) {
+  EXPECT_EQ(patched.fingerprint(), rebuilt.fingerprint());
+  const tensor::TransitionTensors& a = patched.tensors();
+  const tensor::TransitionTensors& b = rebuilt.tensors();
+  ExpectSameBytes(a.index().row_ptr(), b.index().row_ptr(), "row_ptr");
+  ExpectSameBytes(a.index().seg_k(), b.index().seg_k(), "seg_k");
+  ExpectSameBytes(a.index().seg_end(), b.index().seg_end(), "seg_end");
+  ExpectSameBytes(a.index().col(), b.index().col(), "col");
+  ExpectSameBytes(a.o_values(), b.o_values(), "O values");
+  ExpectSameBytes(a.r_values(), b.r_values(), "R values");
+  EXPECT_EQ(a.dangling_columns(), b.dangling_columns());
+  ExpectMatrixBytesEqual(a.linked_mask(), b.linked_mask(), "linked_mask");
 }
 
 TEST(UpdateFitTest, PatchedOperatorsBitIdenticalToRebuild) {
@@ -127,17 +154,9 @@ TEST(UpdateFitTest, PatchedOperatorsBitIdenticalToRebuild) {
     const core::PreparedOperators rebuilt =
         core::PreparedOperators::Build(hin, hin::SimilarityKernel::kCosine);
 
-    EXPECT_EQ(patched.fingerprint(), rebuilt.fingerprint());
     EXPECT_EQ(patched.fingerprint(),
               core::FingerprintOperators(hin, hin::SimilarityKernel::kCosine));
-    ExpectTensorBytesEqual(patched.tensors().o_stored(),
-                           rebuilt.tensors().o_stored(), "O");
-    ExpectTensorBytesEqual(patched.tensors().r_stored(),
-                           rebuilt.tensors().r_stored(), "R");
-    EXPECT_EQ(patched.tensors().dangling_columns(),
-              rebuilt.tensors().dangling_columns());
-    ExpectMatrixBytesEqual(patched.tensors().linked_mask(),
-                           rebuilt.tensors().linked_mask(), "linked_mask");
+    ExpectOperatorsBytesEqual(patched, rebuilt);
 
     // The similarity operator exposes no raw arrays; bit-exact agreement of
     // W x on a deterministic probe vector (plus the dangling list) pins it.
@@ -157,6 +176,342 @@ TEST(UpdateFitTest, PatchedOperatorsBitIdenticalToRebuild) {
     }
   }
 }
+
+// ---- Randomized patched == rebuilt properties -------------------------------
+
+/// n nodes with one feature each and `edges` random weighted links spread
+/// over m relations, except relation `empty_relation` (left without links)
+/// and node `isolated` (left without links); npos disables either.
+hin::Hin RandomHin(std::size_t n, std::size_t m, std::size_t edges,
+                   std::uint64_t seed,
+                   std::size_t empty_relation = la::SparseMatrix::npos,
+                   std::size_t isolated = la::SparseMatrix::npos) {
+  hin::HinBuilder builder(n, 4);
+  for (std::size_t k = 0; k < m; ++k) {
+    builder.AddRelation("r" + std::to_string(k));
+  }
+  builder.AddClass("c");
+  Rng rng(seed);
+  for (std::size_t e = 0; e < edges; ++e) {
+    const std::size_t k = rng.UniformInt(m);
+    const std::size_t src = rng.UniformInt(n);
+    const std::size_t dst = rng.UniformInt(n);
+    if (k == empty_relation || src == isolated || dst == isolated) continue;
+    builder.AddDirectedEdge(k, src, dst, rng.Uniform(0.5, 2.0));
+  }
+  for (std::size_t i = 0; i < n; ++i) builder.AddFeature(i, i % 4, 1.0);
+  return std::move(builder).Build();
+}
+
+/// One HinDelta whose edge ops are each valid against the pre-mutation
+/// network and touch distinct (relation, dst, src) keys.
+class Batch {
+ public:
+  explicit Batch(const hin::Hin& hin) : hin_(hin) {}
+
+  bool Stored(std::size_t k, std::size_t dst, std::size_t src) const {
+    return hin_.relation(k).FindEntry(dst, src) != la::SparseMatrix::npos;
+  }
+  void Add(std::size_t k, std::size_t dst, std::size_t src, double w) {
+    if (!Stored(k, dst, src) && Claim(k, dst, src)) {
+      delta.AddEdge(k, src, dst, w);
+    }
+  }
+  void Remove(std::size_t k, std::size_t dst, std::size_t src) {
+    if (Stored(k, dst, src) && Claim(k, dst, src)) {
+      delta.RemoveEdge(k, src, dst);
+    }
+  }
+  void Reweight(std::size_t k, std::size_t dst, std::size_t src, double w) {
+    if (Stored(k, dst, src) && Claim(k, dst, src)) {
+      delta.ReweightEdge(k, src, dst, w);
+    }
+  }
+
+  hin::HinDelta delta;
+
+ private:
+  bool Claim(std::size_t k, std::size_t dst, std::size_t src) {
+    return keys_.emplace(k, dst, src).second;
+  }
+
+  const hin::Hin& hin_;
+  std::set<std::tuple<std::size_t, std::size_t, std::size_t>> keys_;
+};
+
+std::size_t RowCount(const hin::Hin& hin, std::size_t k, std::size_t i) {
+  const la::SparseMatrix& a = hin.relation(k);
+  return a.row_ptr()[i + 1] - a.row_ptr()[i];
+}
+
+/// Rows i with A[i, j, k] stored.
+std::vector<std::size_t> ColumnRows(const hin::Hin& hin, std::size_t k,
+                                    std::size_t j) {
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < hin.num_nodes(); ++i) {
+    if (hin.relation(k).FindEntry(i, j) != la::SparseMatrix::npos) {
+      rows.push_back(i);
+    }
+  }
+  return rows;
+}
+
+bool Linked(const hin::Hin& hin, std::size_t i, std::size_t j) {
+  for (std::size_t k = 0; k < hin.num_relations(); ++k) {
+    if (hin.relation(k).FindEntry(i, j) != la::SparseMatrix::npos) return true;
+  }
+  return false;
+}
+
+/// The structural cases every run must cover: each emptied thing is
+/// refilled by the next batch.
+struct Coverage {
+  bool row_emptied = false, row_refilled = false;
+  bool column_emptied = false, column_refilled = false;
+  bool pair_unlinked = false, pair_relinked = false;
+};
+
+/// Random edge ops on stored and absent keys, about `count` of them.
+void AddRandomOps(const hin::Hin& hin, std::size_t count, Rng* rng,
+                  Batch* batch) {
+  const std::size_t n = hin.num_nodes();
+  const std::size_t m = hin.num_relations();
+  for (std::size_t t = 0; t < count; ++t) {
+    const std::size_t k = rng->UniformInt(m);
+    const std::size_t i = rng->UniformInt(n);
+    const la::SparseMatrix& a = hin.relation(k);
+    const std::size_t len = RowCount(hin, k, i);
+    if (len > 0 && rng->Bernoulli(0.6)) {
+      const std::size_t j = a.col_idx()[a.row_ptr()[i] + rng->UniformInt(len)];
+      if (rng->Bernoulli(0.5)) {
+        batch->Remove(k, i, j);
+      } else {
+        batch->Reweight(k, i, j, rng->Uniform(0.25, 4.0));
+      }
+    } else {
+      batch->Add(k, i, rng->UniformInt(n), rng->Uniform(0.25, 4.0));
+    }
+  }
+}
+
+/// Every O column (dangling ones included) and every R fiber sums to one,
+/// and both panel contractions match the dense slices at widths 1 and 3.
+void ExpectStochasticAndDenseConsistent(const tensor::TransitionTensors& t,
+                                        Rng* rng) {
+  const std::size_t n = t.num_nodes();
+  const std::size_t m = t.num_relations();
+  std::vector<la::DenseMatrix> o, r;
+  for (std::size_t k = 0; k < m; ++k) {
+    o.push_back(t.DenseOSlice(k));
+    r.push_back(t.DenseRSlice(k));
+  }
+  for (std::size_t k = 0; k < m; ++k) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double sum = 0.0;
+      for (std::size_t i = 0; i < n; ++i) sum += o[k].At(i, j);
+      ASSERT_NEAR(sum, 1.0, 1e-12) << "O column (" << j << "," << k << ")";
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double sum = 0.0;
+      for (std::size_t k = 0; k < m; ++k) sum += r[k].At(i, j);
+      ASSERT_NEAR(sum, 1.0, 1e-12) << "R fiber (" << i << "," << j << ")";
+    }
+  }
+  for (const std::size_t width : {1u, 3u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    // Probability columns, as the fixed-point engine feeds them.
+    la::DenseMatrix x(n, width), z(m, width);
+    for (std::size_t c = 0; c < width; ++c) {
+      for (std::size_t i = 0; i < n; ++i) x.At(i, c) = rng->Uniform(0.01, 1.0);
+      for (std::size_t k = 0; k < m; ++k) z.At(k, c) = rng->Uniform(0.01, 1.0);
+    }
+    la::NormalizeLeadingColumnsL1(width, &x);
+    la::NormalizeLeadingColumnsL1(width, &z);
+    la::DenseMatrix y(n, width), w(m, width);
+    la::PanelWorkspace ws;
+    t.ApplyOPanel(x, z, width, &y, &ws);
+    t.ApplyRPanel(x, x, width, &w, &ws);
+    for (std::size_t c = 0; c < width; ++c) {
+      for (std::size_t i = 0; i < n; ++i) {
+        double expect = 0.0;
+        for (std::size_t k = 0; k < m; ++k) {
+          for (std::size_t j = 0; j < n; ++j) {
+            expect += o[k].At(i, j) * x.At(j, c) * z.At(k, c);
+          }
+        }
+        ASSERT_NEAR(y.At(i, c), expect, 1e-12) << "O row " << i;
+      }
+      for (std::size_t k = 0; k < m; ++k) {
+        double expect = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            expect += r[k].At(i, j) * x.At(i, c) * x.At(j, c);
+          }
+        }
+        ASSERT_NEAR(w.At(k, c), expect, 1e-12) << "R relation " << k;
+      }
+    }
+  }
+}
+
+struct PatchShape {
+  std::string name;
+  std::function<hin::Hin(std::uint64_t seed)> make;
+};
+
+// Names the case by its shape, so test names stay stable across builds.
+void PrintTo(const PatchShape& shape, std::ostream* os) { *os << shape.name; }
+
+class RandomPatchTest : public ::testing::TestWithParam<PatchShape> {};
+
+// Four batches per seed: the even ones empty a relation row, a relation
+// column and a linked pair (every relation), the odd ones refill what the
+// batch before emptied, and all of them add, remove and reweight random
+// links. After every batch the patched bundle must equal a rebuild byte for
+// byte and stay a valid pair of transition tensors.
+TEST_P(RandomPatchTest, PatchedEqualsRebuiltAfterEveryBatch) {
+  ThreadCountGuard guard;
+  constexpr auto kKernel = hin::SimilarityKernel::kCosine;
+  Coverage seen;
+  for (const int threads : {1, 4}) {
+    parallel::SetNumThreads(threads);
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " seed " +
+                   std::to_string(seed));
+      hin::Hin hin = GetParam().make(seed);
+      const std::size_t n = hin.num_nodes();
+      const std::size_t m = hin.num_relations();
+      core::PreparedOperators patched =
+          core::PreparedOperators::Build(hin, kKernel);
+      Rng rng(seed * 7919 + static_cast<std::uint64_t>(threads));
+      std::size_t row_k = 0, row_i = 0, col_k = 0, col_j = 0;
+      std::size_t pair_i = 0, pair_j = 0;
+      std::vector<std::size_t> pair_relations;
+      for (int b = 0; b < 4; ++b) {
+        SCOPED_TRACE("batch " + std::to_string(b));
+        Batch batch(hin);
+        if (b % 2 == 0) {
+          // The relation row and column with the fewest (>= 1) links, and
+          // the pair of a random stored link.
+          std::size_t best_row = 0, best_col = 0;
+          pair_relations.clear();
+          for (std::size_t k = 0; k < m; ++k) {
+            for (std::size_t i = 0; i < n; ++i) {
+              const std::size_t len = RowCount(hin, k, i);
+              if (len > 0 && (best_row == 0 || len < best_row)) {
+                best_row = len;
+                row_k = k;
+                row_i = i;
+              }
+              const std::size_t height = ColumnRows(hin, k, i).size();
+              if (height > 0 && (best_col == 0 || height < best_col)) {
+                best_col = height;
+                col_k = k;
+                col_j = i;
+              }
+            }
+          }
+          if (best_row > 0) {
+            const la::SparseMatrix& a = hin.relation(row_k);
+            for (std::size_t p = a.row_ptr()[row_i];
+                 p < a.row_ptr()[row_i + 1]; ++p) {
+              batch.Remove(row_k, row_i, a.col_idx()[p]);
+            }
+            for (const std::size_t i : ColumnRows(hin, col_k, col_j)) {
+              batch.Remove(col_k, i, col_j);
+            }
+            const std::size_t k = rng.UniformInt(m);
+            const la::SparseMatrix& a2 = hin.relation(k);
+            if (a2.NumNonZeros() > 0) {
+              const std::size_t p = rng.UniformInt(a2.NumNonZeros());
+              pair_j = a2.col_idx()[p];
+              pair_i = 0;
+              while (a2.row_ptr()[pair_i + 1] <= p) ++pair_i;
+              for (std::size_t k2 = 0; k2 < m; ++k2) {
+                if (batch.Stored(k2, pair_i, pair_j)) {
+                  pair_relations.push_back(k2);
+                  batch.Remove(k2, pair_i, pair_j);
+                }
+              }
+            }
+          }
+        } else {
+          batch.Add(row_k, row_i, rng.UniformInt(n), 1.5);
+          batch.Add(col_k, rng.UniformInt(n), col_j, 0.75);
+          for (const std::size_t k : pair_relations) {
+            batch.Add(k, pair_i, pair_j, 2.5);
+          }
+        }
+        AddRandomOps(hin, 3 + hin.NumLinks() / 20, &rng, &batch);
+
+        ASSERT_TRUE(hin.ApplyDelta(batch.delta).ok());
+        patched.ApplyDelta(hin, batch.delta);
+        const core::PreparedOperators rebuilt =
+            core::PreparedOperators::Build(hin, kKernel);
+        ExpectOperatorsBytesEqual(patched, rebuilt);
+        ExpectStochasticAndDenseConsistent(patched.tensors(), &rng);
+
+        const bool row_empty = RowCount(hin, row_k, row_i) == 0;
+        const bool col_empty = ColumnRows(hin, col_k, col_j).empty();
+        const bool unlinked =
+            !pair_relations.empty() && !Linked(hin, pair_i, pair_j);
+        if (b % 2 == 0) {
+          seen.row_emptied |= row_empty;
+          seen.column_emptied |= col_empty;
+          seen.pair_unlinked |= unlinked;
+        } else {
+          seen.row_refilled |= !row_empty;
+          seen.column_refilled |= !col_empty;
+          seen.pair_relinked |=
+              !pair_relations.empty() && Linked(hin, pair_i, pair_j);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(seen.row_emptied && seen.row_refilled);
+  EXPECT_TRUE(seen.column_emptied && seen.column_refilled);
+  EXPECT_TRUE(seen.pair_unlinked && seen.pair_relinked);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, RandomPatchTest,
+    ::testing::Values(
+        PatchShape{"generated",
+                   [](std::uint64_t seed) {
+                     return datasets::GenerateSyntheticHin(
+                         datasets::ScalingSyntheticConfig(120, seed));
+                   }},
+        PatchShape{"one_relation",
+                   [](std::uint64_t seed) {
+                     return RandomHin(12, 1, 30, seed);
+                   }},
+        PatchShape{"empty_relation",
+                   [](std::uint64_t seed) {
+                     return RandomHin(12, 3, 40, seed, /*empty_relation=*/1);
+                   }},
+        PatchShape{"isolated_node",
+                   [](std::uint64_t seed) {
+                     return RandomHin(12, 2, 40, seed,
+                                      la::SparseMatrix::npos,
+                                      /*isolated=*/5);
+                   }},
+        PatchShape{"single_entry",
+                   [](std::uint64_t seed) {
+                     hin::HinBuilder builder(5, 2);
+                     builder.AddRelation("r0");
+                     builder.AddRelation("r1");
+                     builder.AddClass("c");
+                     builder.AddDirectedEdge(seed % 2, 3, 1, 2.0);
+                     for (std::size_t i = 0; i < 5; ++i) {
+                       builder.AddFeature(i, i % 2, 1.0);
+                     }
+                     return std::move(builder).Build();
+                   }}),
+    [](const ::testing::TestParamInfo<PatchShape>& info) {
+      return info.param.name;
+    });
 
 TEST(UpdateFitTest, WarmUpdateMatchesColdFitWithinTolerance) {
   ThreadCountGuard guard;

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -158,14 +160,16 @@ INSTANTIATE_TEST_SUITE_P(Clients, HotSwapTest, ::testing::Values(1, 4),
                          });
 
 // The `update` verb's own response is deterministically stale: BeginUpdate
-// opens the refresh window before the response acquires its view, so the
-// client that triggered the refresh is always told the answer describes
-// the generation about to be replaced.
+// opens the refresh window and takes the response's view before the
+// refresh thread starts, so the client that triggered the refresh is
+// always told the answer describes the generation about to be replaced,
+// however fast the refresh publishes.
 TEST(HotSwapTest, UpdateVerbAnswersStaleWithThePreSwapGeneration) {
   hin::Hin hin = MakeTestHin();
   const hin::HinDelta delta = MakeFeatureDelta(hin);
   const std::string path =
-      std::string(::testing::TempDir()) + "/hot_swap_feature.delta";
+      std::string(::testing::TempDir()) + "/hot_swap_feature." +
+      std::to_string(::getpid()) + ".delta";  // Own file per process.
   ASSERT_TRUE(hin::SaveHinDeltaToFile(delta, path).ok());
 
   DaemonOptions options;
@@ -207,7 +211,7 @@ TEST(HotSwapTest, FailedUpdateAbortsTheRefreshWindow) {
 
   hin::HinDelta bad;
   bad.AddLabel(0, 999);  // class id out of range
-  const Status refused = daemon.BeginUpdate(bad);
+  const Status refused = daemon.BeginUpdate(bad).status();
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(daemon.bundles().refreshing());

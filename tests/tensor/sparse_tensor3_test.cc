@@ -2,13 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <utility>
-
 #include "tmark/common/check.h"
-#include "tmark/common/random.h"
-#include "tmark/la/dense_matrix.h"
-#include "tmark/la/panel.h"
 
 namespace tmark::tensor {
 namespace {
@@ -20,37 +14,6 @@ SparseTensor3 Sample() {
                                      {1, 0, 0, 2.0},
                                      {2, 1, 1, 3.0},
                                      {0, 2, 1, 4.0}});
-}
-
-SparseTensor3 RandomTensor(std::size_t n, std::size_t m, double density,
-                           Rng* rng) {
-  std::vector<TensorEntry> entries;
-  for (std::size_t k = 0; k < m; ++k) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (rng->Bernoulli(density)) {
-          entries.push_back({static_cast<std::uint32_t>(i),
-                             static_cast<std::uint32_t>(j),
-                             static_cast<std::uint32_t>(k),
-                             rng->Uniform(0.1, 1.0)});
-        }
-      }
-    }
-  }
-  return SparseTensor3::FromEntries(n, m, std::move(entries));
-}
-
-// Panels carry two columns more than the width under test, so a kernel that
-// read or wrote past the leading `width` columns, or mixed up the column
-// stride with the width, would show.
-constexpr std::size_t kExtraColumns = 2;
-
-la::DenseMatrix RandomPanel(std::size_t rows, std::size_t cols, Rng* rng) {
-  la::DenseMatrix p(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) p.At(r, c) = rng->Uniform(0.0, 1.0);
-  }
-  return p;
 }
 
 TEST(SparseTensor3Test, ShapeAndAccess) {
@@ -115,80 +78,6 @@ TEST(SparseTensor3Test, ConnectivityDetectsComponents) {
   const SparseTensor3 joined = SparseTensor3::FromEntries(
       4, 1, {{0, 1, 0, 1.0}, {1, 2, 0, 1.0}, {2, 3, 0, 1.0}});
   EXPECT_TRUE(joined.IsConnectedAggregate());
-}
-
-TEST(SparseTensor3Test, ContractMode1MatchesBruteForce) {
-  Rng rng(3);
-  const SparseTensor3 t = RandomTensor(7, 3, 0.3, &rng);
-  for (const std::size_t width : {1u, 3u}) {
-    SCOPED_TRACE("width " + std::to_string(width));
-    const std::size_t stride = width + kExtraColumns;
-    const la::DenseMatrix x = RandomPanel(7, stride, &rng);
-    const la::DenseMatrix z = RandomPanel(3, stride, &rng);
-    la::DenseMatrix y(7, stride, -1.0);
-    la::PanelWorkspace ws;
-    t.ContractMode1Panel(x, z, width, &y, &ws);
-    for (std::size_t c = 0; c < stride; ++c) {
-      for (std::size_t i = 0; i < 7; ++i) {
-        if (c >= width) {
-          EXPECT_EQ(y.At(i, c), -1.0) << "column past the width written";
-          continue;
-        }
-        double expect = 0.0;
-        for (std::size_t j = 0; j < 7; ++j) {
-          for (std::size_t k = 0; k < 3; ++k) {
-            expect += t.At(i, j, k) * x.At(j, c) * z.At(k, c);
-          }
-        }
-        EXPECT_NEAR(y.At(i, c), expect, 1e-12);
-      }
-    }
-  }
-}
-
-TEST(SparseTensor3Test, ContractMode3MatchesBruteForce) {
-  Rng rng(4);
-  const SparseTensor3 t = RandomTensor(6, 4, 0.3, &rng);
-  for (const std::size_t width : {1u, 3u}) {
-    SCOPED_TRACE("width " + std::to_string(width));
-    const std::size_t stride = width + kExtraColumns;
-    const la::DenseMatrix x = RandomPanel(6, stride, &rng);
-    const la::DenseMatrix y = RandomPanel(6, stride, &rng);
-    la::DenseMatrix w(4, stride, -1.0);
-    la::PanelWorkspace ws;
-    t.ContractMode3Panel(x, y, width, &w, &ws);
-    for (std::size_t c = 0; c < stride; ++c) {
-      for (std::size_t k = 0; k < 4; ++k) {
-        if (c >= width) {
-          EXPECT_EQ(w.At(k, c), -1.0) << "column past the width written";
-          continue;
-        }
-        double expect = 0.0;
-        for (std::size_t i = 0; i < 6; ++i) {
-          for (std::size_t j = 0; j < 6; ++j) {
-            expect += t.At(i, j, k) * x.At(i, c) * y.At(j, c);
-          }
-        }
-        EXPECT_NEAR(w.At(k, c), expect, 1e-12);
-      }
-    }
-  }
-}
-
-TEST(SparseTensor3Test, ContractionSizeChecks) {
-  const SparseTensor3 t = Sample();  // 3 nodes, 2 relations.
-  la::PanelWorkspace ws;
-  const la::DenseMatrix x(3, 1);
-  const la::DenseMatrix z(2, 1);
-  const la::DenseMatrix short_x(2, 1);
-  la::DenseMatrix node_out(3, 1);
-  la::DenseMatrix rel_out(2, 1);
-  EXPECT_THROW(t.ContractMode1Panel(short_x, z, 1, &node_out, &ws),
-               CheckError);
-  EXPECT_THROW(t.ContractMode3Panel(x, short_x, 1, &rel_out, &ws),
-               CheckError);
-  // A width past the panels' columns.
-  EXPECT_THROW(t.ContractMode1Panel(x, z, 2, &node_out, &ws), CheckError);
 }
 
 }  // namespace

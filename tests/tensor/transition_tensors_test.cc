@@ -58,7 +58,7 @@ TEST(TransitionTensorsTest, OColumnsAreStochastic) {
   // Eq. (1): each (j, k) column of O sums to one, including dangling ones.
   Rng rng(1);
   const SparseTensor3 a = RandomTensor(6, 3, 0.25, &rng);
-  const TransitionTensors t = TransitionTensors::Build(a);
+  const TransitionTensors t = TransitionTensors::Build(a.slices());
   for (std::size_t k = 0; k < 3; ++k) {
     for (std::size_t j = 0; j < 6; ++j) {
       double sum = 0.0;
@@ -72,7 +72,7 @@ TEST(TransitionTensorsTest, RFibersAreStochastic) {
   // Eq. (2): for every (i, j) pair, sum_k R[i,j,k] = 1 (dangling -> 1/m).
   Rng rng(2);
   const SparseTensor3 a = RandomTensor(5, 4, 0.2, &rng);
-  const TransitionTensors t = TransitionTensors::Build(a);
+  const TransitionTensors t = TransitionTensors::Build(a.slices());
   for (std::size_t i = 0; i < 5; ++i) {
     for (std::size_t j = 0; j < 5; ++j) {
       double sum = 0.0;
@@ -82,11 +82,31 @@ TEST(TransitionTensorsTest, RFibersAreStochastic) {
   }
 }
 
+TEST(TransitionTensorsTest, ValuesMatchTheSliceNormalizations) {
+  // Bit for bit at every stored entry: O is NormalizeColumnsSparse of its
+  // slice, and R divides A by the SumOverRelations total of its pair.
+  Rng rng(5);
+  const SparseTensor3 a = RandomTensor(9, 4, 0.3, &rng);
+  const TransitionTensors t = TransitionTensors::Build(a.slices());
+  const la::SparseMatrix totals = a.SumOverRelations();
+  std::vector<la::SparseMatrix> o;
+  for (const la::SparseMatrix& slice : a.slices()) {
+    o.push_back(slice.NormalizeColumnsSparse(nullptr));
+  }
+  ASSERT_EQ(t.index().num_entries(), a.NumNonZeros());
+  for (const TensorEntry& entry : a.Entries()) {
+    const std::size_t e = t.index().Find(entry.i, entry.j, entry.k);
+    ASSERT_NE(e, EntryIndex::npos);
+    EXPECT_EQ(t.o_values()[e], o[entry.k].At(entry.i, entry.j));
+    EXPECT_EQ(t.r_values()[e], entry.value / totals.At(entry.i, entry.j));
+  }
+}
+
 TEST(TransitionTensorsTest, PaperExampleRFibersAreStochastic) {
-  // Pins the merged-CSR-walk R-normalization on the paper's worked example:
+  // Pins the per-row R-normalization on the paper's worked example:
   // every (i, j) fiber of R must still sum to exactly one relation share.
   const hin::Hin hin = datasets::MakePaperExample();
-  const TransitionTensors t = TransitionTensors::Build(hin.ToAdjacencyTensor());
+  const TransitionTensors t = TransitionTensors::Build(hin.relations());
   const std::size_t n = hin.num_nodes();
   const std::size_t m = hin.num_relations();
   for (std::size_t i = 0; i < n; ++i) {
@@ -102,7 +122,7 @@ TEST(TransitionTensorsTest, DanglingColumnIsUniform) {
   // Node 2 has no outgoing link in relation 0 -> its column is 1/n.
   const SparseTensor3 a = SparseTensor3::FromEntries(
       3, 1, {{0, 1, 0, 1.0}, {1, 0, 0, 1.0}});
-  const TransitionTensors t = TransitionTensors::Build(a);
+  const TransitionTensors t = TransitionTensors::Build(a.slices());
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(t.OEntry(i, 2, 0), 1.0 / 3.0);
   }
@@ -113,7 +133,7 @@ TEST(TransitionTensorsTest, DanglingColumnIsUniform) {
 TEST(TransitionTensorsTest, UnlinkedPairIsUniformOverRelations) {
   const SparseTensor3 a = SparseTensor3::FromEntries(
       3, 2, {{0, 1, 0, 1.0}, {0, 1, 1, 3.0}});
-  const TransitionTensors t = TransitionTensors::Build(a);
+  const TransitionTensors t = TransitionTensors::Build(a.slices());
   // Linked pair (0,1): normalized over relations.
   EXPECT_DOUBLE_EQ(t.REntry(0, 1, 0), 0.25);
   EXPECT_DOUBLE_EQ(t.REntry(0, 1, 1), 0.75);
@@ -125,7 +145,7 @@ TEST(TransitionTensorsTest, UnlinkedPairIsUniformOverRelations) {
 TEST(TransitionTensorsTest, ApplyOMatchesDenseReference) {
   Rng rng(3);
   const SparseTensor3 a = RandomTensor(7, 3, 0.2, &rng);
-  const TransitionTensors t = TransitionTensors::Build(a);
+  const TransitionTensors t = TransitionTensors::Build(a.slices());
   for (const std::size_t width : {1u, 3u}) {
     SCOPED_TRACE("width " + std::to_string(width));
     const std::size_t stride = width + kExtraColumns;
@@ -155,7 +175,7 @@ TEST(TransitionTensorsTest, ApplyOMatchesDenseReference) {
 TEST(TransitionTensorsTest, ApplyRMatchesDenseReference) {
   Rng rng(4);
   const SparseTensor3 a = RandomTensor(6, 4, 0.15, &rng);
-  const TransitionTensors t = TransitionTensors::Build(a);
+  const TransitionTensors t = TransitionTensors::Build(a.slices());
   for (const std::size_t width : {1u, 3u}) {
     SCOPED_TRACE("width " + std::to_string(width));
     const std::size_t stride = width + kExtraColumns;
@@ -192,7 +212,7 @@ TEST_P(SimplexPreservationTest, ApplyOAndApplyRStayOnSimplex) {
   const std::size_t n = 4 + rng.UniformInt(8);
   const std::size_t m = 2 + rng.UniformInt(4);
   const SparseTensor3 a = RandomTensor(n, m, 0.15, &rng);
-  const TransitionTensors t = TransitionTensors::Build(a);
+  const TransitionTensors t = TransitionTensors::Build(a.slices());
   for (const std::size_t width : {1u, 3u}) {
     SCOPED_TRACE("width " + std::to_string(width));
     const std::size_t stride = width + kExtraColumns;
@@ -220,7 +240,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimplexPreservationTest,
 TEST(TransitionTensorsTest, DenseSliceMaterialization) {
   const SparseTensor3 a = SparseTensor3::FromEntries(
       2, 1, {{0, 1, 0, 2.0}, {1, 1, 0, 2.0}});
-  const TransitionTensors t = TransitionTensors::Build(a);
+  const TransitionTensors t = TransitionTensors::Build(a.slices());
   const la::DenseMatrix o = t.DenseOSlice(0);
   // Column 0 dangling -> uniform; column 1 normalized (0.5, 0.5).
   EXPECT_DOUBLE_EQ(o.At(0, 0), 0.5);
@@ -234,14 +254,14 @@ TEST(TransitionTensorsTest, DenseSliceMaterialization) {
 TEST(TransitionTensorsTest, RejectsNegativeTensor) {
   const SparseTensor3 neg =
       SparseTensor3::FromEntries(2, 1, {{0, 1, 0, -1.0}});
-  EXPECT_THROW(TransitionTensors::Build(neg), CheckError);
+  EXPECT_THROW(TransitionTensors::Build(neg.slices()), CheckError);
 }
 
 TEST(TransitionTensorsTest, WeightsInfluenceO) {
   // Column (j=0, k=0) has entries 1 and 3 -> probabilities 0.25 / 0.75.
   const SparseTensor3 a = SparseTensor3::FromEntries(
       2, 1, {{0, 0, 0, 1.0}, {1, 0, 0, 3.0}});
-  const TransitionTensors t = TransitionTensors::Build(a);
+  const TransitionTensors t = TransitionTensors::Build(a.slices());
   EXPECT_DOUBLE_EQ(t.OEntry(0, 0, 0), 0.25);
   EXPECT_DOUBLE_EQ(t.OEntry(1, 0, 0), 0.75);
 }
