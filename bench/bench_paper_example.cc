@@ -7,6 +7,7 @@
 //   [z^DM, z^CV] ~ [[0.33, 0.33], [0.30, 0.37], [0.37, 0.30]]
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/common.h"
 
@@ -34,13 +35,14 @@ int main() {
   tmark::bench::BenchObsSession obs_session("bench_paper_example");
   using namespace tmark;
   const hin::Hin hin = datasets::MakePaperExample();
-  const tensor::SparseTensor3 a = hin.ToAdjacencyTensor();
+  // The adjacency tensor A of Sec. 3.1, as its front slices A(:,:,k).
+  const std::vector<la::SparseMatrix>& a = hin.relations();
 
   std::printf("== Worked example (Sec. 3.2 / 4.3) ==\n");
   std::printf("4 publications, 3 relations (%s / %s / %s), %zu tensor "
               "entries\n\n",
               hin.relation_name(0).c_str(), hin.relation_name(1).c_str(),
-              hin.relation_name(2).c_str(), a.NumNonZeros());
+              hin.relation_name(2).c_str(), hin.NumLinks());
 
   PrintDense("A_(1) mode-1 matricization",
              tensor::MatricizeMode1(a).ToDense());
@@ -49,8 +51,7 @@ int main() {
              tensor::MatricizeMode3(a).ToDense());
   std::printf("\n");
 
-  const tensor::TransitionTensors t =
-      tensor::TransitionTensors::Build(a.slices());
+  const tensor::TransitionTensors t = tensor::TransitionTensors::Build(a);
   for (std::size_t k = 0; k < 3; ++k) {
     char title[64];
     std::snprintf(title, sizeof(title), "O(:,:,%zu)  [%s]", k,

@@ -17,7 +17,11 @@
 //     passes of the fixed-point engine against the unfused sweep sequence
 //     they replaced (scale, two axpys, L1 normalize, L1 distances).
 //
-// Both tables are recorded in the TMARK_BENCH_JSON dump and gated by
+// Both tables run on one thread pinned to the vCPU it starts on, and time
+// the sides of each row in alternating rounds (bench::TimeAlternating).
+// The times are medians over rounds; the gated columns blocked_over_scalar
+// and fused_over_unfused are medians of the per-round ratios. Both tables
+// are recorded in the TMARK_BENCH_JSON dump and gated by
 // scripts/check_kernel_bench.py (generous slack: the gate catches a blocked
 // path that regressed past its scalar baseline, not noise). Run with
 // --benchmark_filter=^$ to get just the tables.
@@ -42,7 +46,6 @@
 #include "tmark/la/vector_ops.h"
 #include "tmark/parallel/thread_pool.h"
 #include "tmark/tensor/entry_index.h"
-#include "tmark/tensor/sparse_tensor3.h"
 
 namespace {
 
@@ -164,16 +167,18 @@ void ScalarBilinearPanel(const la::SparseMatrix& a, const la::DenseMatrix& x,
   }
 }
 
-void ScalarContractMode1Panel(const tensor::SparseTensor3& t,
+/// `slices` are the tensor's front slices A(:,:,k), one n x n CSR matrix
+/// each.
+void ScalarContractMode1Panel(const std::vector<la::SparseMatrix>& slices,
                               const la::DenseMatrix& x,
                               const la::DenseMatrix& z, std::size_t width,
                               la::DenseMatrix* y) {
   double acc[kMaxWidth];
-  for (std::size_t i = 0; i < t.num_nodes(); ++i) {
+  for (std::size_t i = 0; i < y->rows(); ++i) {
     double* yrow = y->RowPtr(i);
     for (std::size_t c = 0; c < width; ++c) yrow[c] = 0.0;
-    for (std::size_t k = 0; k < t.num_relations(); ++k) {
-      const la::SparseMatrix& slice = t.Slice(k);
+    for (std::size_t k = 0; k < slices.size(); ++k) {
+      const la::SparseMatrix& slice = slices[k];
       const auto& row_ptr = slice.row_ptr();
       const auto& col_idx = slice.col_idx();
       const auto& values = slice.values();
@@ -259,16 +264,16 @@ struct Operands {
 /// workspace.
 struct Fixture {
   la::SparseMatrix a = MakeSparse(kNodes, kNodes, 1);
-  tensor::SparseTensor3 tensor = [] {
-    std::vector<la::SparseMatrix> slices;
+  std::vector<la::SparseMatrix> slices = [] {
+    std::vector<la::SparseMatrix> out;
     for (std::size_t k = 0; k < kRelations; ++k) {
-      slices.push_back(MakeSparse(kNodes, kNodes, 3 + k));
+      out.push_back(MakeSparse(kNodes, kNodes, 3 + k));
     }
-    return tensor::SparseTensor3::FromSlices(std::move(slices));
+    return out;
   }();
   std::vector<double> tensor_values;  ///< The slices' values, index order.
   tensor::EntryIndex index =
-      tensor::EntryIndex::FromSlices(tensor.slices(), &tensor_values);
+      tensor::EntryIndex::FromSlices(slices, &tensor_values);
   la::SparseMatrix features = MakeSparse(kNodes, kVocab, 11);
   hin::FeatureSimilarity sim = hin::FeatureSimilarity::Build(features);
   ScalarSimilarity scalar_sim = ScalarSimilarity::Build(features);
@@ -335,7 +340,7 @@ const KernelRow kKernelRows[] = {
      }},
     {"contract_mode1_panel",
      [](Fixture& f, std::size_t w) {
-       ScalarContractMode1Panel(f.tensor, f.panel.xp, f.panel.zp, w,
+       ScalarContractMode1Panel(f.slices, f.panel.xp, f.panel.zp, w,
                                 &f.panel.node_out);
      },
      [](Fixture& f, Operands& ops, std::size_t w) {
@@ -356,53 +361,65 @@ const KernelRow kKernelRows[] = {
 // blocked kernels are pool-partitioned while the scalar references here are
 // plain serial loops, so at TMARK_NUM_THREADS > 1 on a small machine the
 // chunk-dispatch overhead would pollute the blocked column. Tables run
-// single-threaded; the BM_* entries below honor TMARK_NUM_THREADS for the
-// threading view.
+// single-threaded, on the calling thread pinned to its vCPU (released
+// before the thread count is restored, so no worker inherits the pin); the
+// BM_* entries below honor TMARK_NUM_THREADS for the threading view.
 struct SingleThreadGuard {
   SingleThreadGuard() { parallel::SetNumThreads(1); }
   ~SingleThreadGuard() { parallel::SetNumThreads(0); }
 };
 
 void RunKernelMicrobench() {
-  SingleThreadGuard pin;
+  SingleThreadGuard single_thread;
+  bench::PinToCurrentCpu pin;
   Fixture f;
-  std::vector<std::string> headers = {"kernel",     "width",     "scalar_ms",
-                                      "blocked_ms", "width1_ms", "speedup"};
+  std::vector<std::string> headers = {
+      "kernel",    "width",   "scalar_ms",          "blocked_ms",
+      "width1_ms", "speedup", "blocked_over_scalar"};
   eval::TablePrinter table(headers);
   std::vector<std::vector<std::string>> rows;
   for (const KernelRow& kernel : kKernelRows) {
     for (const std::size_t width : kWidths) {
       f.SetWidth(width);
       const std::size_t reps = RepsFor(width);
-      const auto scalar_timing = bench::BenchTimer::Time([&] {
-        for (std::size_t i = 0; i < reps; ++i) kernel.scalar_fn(f, width);
+      const std::vector<std::vector<double>> ms = bench::TimeAlternating({
+          [&] {
+            for (std::size_t i = 0; i < reps; ++i) kernel.scalar_fn(f, width);
+          },
+          [&] {
+            for (std::size_t i = 0; i < reps; ++i) {
+              kernel.blocked_fn(f, f.panel, width);
+            }
+          },
+          [&] {
+            for (std::size_t i = 0; i < reps; ++i) {
+              for (Operands& column : f.columns) {
+                kernel.blocked_fn(f, column, 1);
+              }
+            }
+          },
       });
-      const auto blocked_timing = bench::BenchTimer::Time([&] {
-        for (std::size_t i = 0; i < reps; ++i) {
-          kernel.blocked_fn(f, f.panel, width);
-        }
-      });
-      const auto width1_timing = bench::BenchTimer::Time([&] {
-        for (std::size_t i = 0; i < reps; ++i) {
-          for (Operands& column : f.columns) kernel.blocked_fn(f, column, 1);
-        }
-      });
+      const double scalar_ms = bench::Median(ms[0]);
+      const double blocked_ms = bench::Median(ms[1]);
       std::vector<std::string> row = {
           kernel.name,
           std::to_string(width),
-          FormatDouble(scalar_timing.min_ms, 3),
-          FormatDouble(blocked_timing.min_ms, 3),
-          FormatDouble(width1_timing.min_ms, 3),
-          FormatDouble(scalar_timing.min_ms / blocked_timing.min_ms, 2)};
+          FormatDouble(scalar_ms, 3),
+          FormatDouble(blocked_ms, 3),
+          FormatDouble(bench::Median(ms[2]), 3),
+          FormatDouble(scalar_ms / blocked_ms, 2),
+          FormatDouble(bench::MedianRatio(ms[1], ms[0]), 3)};
       rows.push_back(row);
       table.AddRow(std::move(row));
     }
   }
   std::cout << "kernel microbenchmarks (" << kNodes << " nodes, "
-            << kRelations << " relations, min over "
-            << std::max(1, bench::BenchTimer::Repeats())
-            << " repeats; scalar_ms = unblocked panel reference, width1_ms = "
-               "width calls at width 1, speedup = scalar/blocked)\n";
+            << kRelations << " relations, medians over "
+            << std::max(9, bench::BenchTimer::Repeats())
+            << " alternating rounds; scalar_ms = unblocked panel reference, "
+               "width1_ms = width calls at width 1, speedup = "
+               "scalar/blocked, blocked_over_scalar = median of the "
+               "per-round ratios)\n";
   table.Print(std::cout);
   if (bench::BenchObsSession* session = bench::BenchObsSession::active()) {
     session->RecordTable(
@@ -411,11 +428,12 @@ void RunKernelMicrobench() {
 }
 
 void RunFusedComparison() {
-  SingleThreadGuard pin;
+  SingleThreadGuard single_thread;
+  bench::PinToCurrentCpu pin;
   const double rel = 0.55, beta = 0.4, alpha = 0.05;
 
   std::vector<std::string> headers = {"width", "unfused_ms", "fused_ms",
-                                      "speedup"};
+                                      "speedup", "fused_over_unfused"};
   eval::TablePrinter table(headers);
   std::vector<std::vector<std::string>> rows;
   for (const std::size_t width : kWidths) {
@@ -429,33 +447,38 @@ void RunFusedComparison() {
     la::DenseMatrix unfused_panel = MakeProbPanel(kNodes, width, 140);
     la::DenseMatrix fused_panel = unfused_panel;
     la::Vector sums, rho;
-    const auto unfused_timing = bench::BenchTimer::Time([&] {
-      for (std::size_t i = 0; i < reps; ++i) {
-        la::ScaleLeadingColumns(rel, width, &unfused_panel);
-        la::AxpyLeadingColumns(beta, wx, width, &unfused_panel);
-        la::AxpyLeadingColumns(alpha, l, width, &unfused_panel);
-        la::NormalizeLeadingColumnsL1(width, &unfused_panel);
-        la::LeadingColumnL1Distances(unfused_panel, prev, width, &rho);
-      }
+    const std::vector<std::vector<double>> ms = bench::TimeAlternating({
+        [&] {
+          for (std::size_t i = 0; i < reps; ++i) {
+            la::ScaleLeadingColumns(rel, width, &unfused_panel);
+            la::AxpyLeadingColumns(beta, wx, width, &unfused_panel);
+            la::AxpyLeadingColumns(alpha, l, width, &unfused_panel);
+            la::NormalizeLeadingColumnsL1(width, &unfused_panel);
+            la::LeadingColumnL1Distances(unfused_panel, prev, width, &rho);
+          }
+        },
+        [&] {
+          for (std::size_t i = 0; i < reps; ++i) {
+            la::FusedCombineColumns(rel, beta, wx, alpha, l, width,
+                                    &fused_panel, &sums);
+            la::FusedNormalizeDistanceColumns(&sums, prev, width,
+                                              &fused_panel, &rho);
+          }
+        },
     });
-    const auto fused_timing = bench::BenchTimer::Time([&] {
-      for (std::size_t i = 0; i < reps; ++i) {
-        la::FusedCombineColumns(rel, beta, wx, alpha, l, width, &fused_panel,
-                                &sums);
-        la::FusedNormalizeDistanceColumns(&sums, prev, width, &fused_panel,
-                                          &rho);
-      }
-    });
+    const double unfused_ms = bench::Median(ms[0]);
+    const double fused_ms = bench::Median(ms[1]);
     std::vector<std::string> row = {
-        std::to_string(width), FormatDouble(unfused_timing.min_ms, 3),
-        FormatDouble(fused_timing.min_ms, 3),
-        FormatDouble(unfused_timing.min_ms / fused_timing.min_ms, 2)};
+        std::to_string(width), FormatDouble(unfused_ms, 3),
+        FormatDouble(fused_ms, 3), FormatDouble(unfused_ms / fused_ms, 2),
+        FormatDouble(bench::MedianRatio(ms[1], ms[0]), 3)};
     rows.push_back(row);
     table.AddRow(std::move(row));
   }
   std::cout << "fused-epilogue comparison (" << kNodes
-            << " rows; unfused = scale + 2 axpy + L1 normalize + L1 "
-               "distances)\n";
+            << " rows, medians over alternating rounds; unfused = scale + 2 "
+               "axpy + L1 normalize + L1 distances, fused_over_unfused = "
+               "median of the per-round ratios)\n";
   table.Print(std::cout);
   if (bench::BenchObsSession* session = bench::BenchObsSession::active()) {
     session->RecordTable(

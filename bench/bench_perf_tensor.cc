@@ -6,29 +6,40 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "bench/common.h"
 
 #include "tmark/common/random.h"
 #include "tmark/la/dense_matrix.h"
 #include "tmark/la/panel.h"
+#include "tmark/la/sparse_matrix.h"
+#include "tmark/tensor/matricization.h"
 #include "tmark/tensor/transition_tensors.h"
 
 namespace {
 
 using namespace tmark;
 
-tensor::SparseTensor3 RandomTensor(std::size_t n, std::size_t m,
-                                   std::size_t entries_target,
-                                   std::uint64_t seed) {
+/// The m front slices A(:,:,k) of an (n x n x m) tensor with `entries`
+/// uniformly random unit entries (duplicates summed).
+std::vector<la::SparseMatrix> RandomSlices(std::size_t n, std::size_t m,
+                                           std::size_t entries,
+                                           std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<tensor::TensorEntry> entries;
-  entries.reserve(entries_target);
-  for (std::size_t e = 0; e < entries_target; ++e) {
-    entries.push_back({static_cast<std::uint32_t>(rng.UniformInt(n)),
-                       static_cast<std::uint32_t>(rng.UniformInt(n)),
-                       static_cast<std::uint32_t>(rng.UniformInt(m)), 1.0});
+  std::vector<std::vector<la::Triplet>> triplets(m);
+  for (std::size_t e = 0; e < entries; ++e) {
+    const auto i = static_cast<std::uint32_t>(rng.UniformInt(n));
+    const auto j = static_cast<std::uint32_t>(rng.UniformInt(n));
+    triplets[rng.UniformInt(m)].push_back({i, j, 1.0});
   }
-  return tensor::SparseTensor3::FromEntries(n, m, std::move(entries));
+  std::vector<la::SparseMatrix> slices;
+  for (std::vector<la::Triplet>& t : triplets) {
+    slices.push_back(la::SparseMatrix::FromTriplets(n, n, std::move(t)));
+  }
+  return slices;
 }
 
 // The contractions run as width-1 panels: one vector, the shape of a single
@@ -38,7 +49,7 @@ void BM_ApplyO(benchmark::State& state) {
   const std::size_t m = 16;
   const std::size_t d = 8 * n;  // D scales linearly with n
   const tensor::TransitionTensors t =
-      tensor::TransitionTensors::Build(RandomTensor(n, m, d, 7).slices());
+      tensor::TransitionTensors::Build(RandomSlices(n, m, d, 7));
   const la::DenseMatrix x(n, 1, 1.0 / static_cast<double>(n));
   const la::DenseMatrix z(m, 1, 1.0 / static_cast<double>(m));
   la::DenseMatrix y(n, 1);
@@ -58,7 +69,7 @@ void BM_ApplyR(benchmark::State& state) {
   const std::size_t m = 16;
   const std::size_t d = 8 * n;
   const tensor::TransitionTensors t =
-      tensor::TransitionTensors::Build(RandomTensor(n, m, d, 11).slices());
+      tensor::TransitionTensors::Build(RandomSlices(n, m, d, 11));
   const la::DenseMatrix x(n, 1, 1.0 / static_cast<double>(n));
   la::DenseMatrix w(m, 1);
   la::PanelWorkspace ws;
@@ -74,9 +85,9 @@ BENCHMARK(BM_ApplyR)->Arg(1000)->Arg(4000)->Arg(16000);
 
 void BM_BuildTransitionTensors(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const tensor::SparseTensor3 a = RandomTensor(n, 16, 8 * n, 13);
+  const std::vector<la::SparseMatrix> a = RandomSlices(n, 16, 8 * n, 13);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::TransitionTensors::Build(a.slices()));
+    benchmark::DoNotOptimize(tensor::TransitionTensors::Build(a));
   }
 }
 BENCHMARK(BM_BuildTransitionTensors)->Arg(1000)->Arg(8000);
@@ -86,8 +97,7 @@ void BM_DenseReferenceApplyO(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t m = 16;
   const tensor::TransitionTensors t =
-      tensor::TransitionTensors::Build(
-          RandomTensor(n, m, 8 * n, 17).slices());
+      tensor::TransitionTensors::Build(RandomSlices(n, m, 8 * n, 17));
   const la::Vector x = la::UniformProbability(n);
   const la::Vector z = la::UniformProbability(m);
   for (auto _ : state) {
@@ -106,11 +116,13 @@ void BM_DenseReferenceApplyO(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseReferenceApplyO)->Arg(200);
 
+// Both unfoldings of Sec. 3.2: A_(1) (n x nm) and A_(3) (m x n^2).
 void BM_Matricization(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const tensor::SparseTensor3 a = RandomTensor(n, 16, 8 * n, 19);
+  const std::vector<la::SparseMatrix> a = RandomSlices(n, 16, 8 * n, 19);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(a.SumOverRelations());
+    benchmark::DoNotOptimize(tensor::MatricizeMode1(a));
+    benchmark::DoNotOptimize(tensor::MatricizeMode3(a));
   }
 }
 BENCHMARK(BM_Matricization)->Arg(2000);

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -170,19 +171,13 @@ std::size_t FitClassAlone(const hin::Hin& hin,
   return engine.residuals(0).size();
 }
 
-double Median(std::vector<double> runs) {
-  std::sort(runs.begin(), runs.end());
-  const std::size_t mid = runs.size() / 2;
-  return runs.size() % 2 == 1 ? runs[mid] : 0.5 * (runs[mid - 1] + runs[mid]);
-}
-
 /// The width comparison on the DBLP synthetic preset with prebuilt
 /// operators: one width-q fit (all q classes in one panel) against q
 /// width-1 fits (each class alone), recorded as a table in the
-/// TMARK_BENCH_JSON dump. The two sides alternate within this process — and
-/// alternate which goes first — over max(9, TMARK_BENCH_REPEATS) rounds
-/// after one warm-up each; the gate compares medians. Every column is
-/// bit-identical at any width, so the iteration counts agree.
+/// TMARK_BENCH_JSON dump. The width-q fit and the q width-1 fits alternate
+/// within this process (bench::TimeAlternating); the gate compares medians.
+/// Every column is bit-identical at any width, so the iteration counts
+/// agree.
 void RunFitEngineComparison() {
   datasets::PresetOptions preset;
   const hin::Hin hin = *datasets::MakePreset("dblp", preset);
@@ -192,37 +187,17 @@ void RunFitEngineComparison() {
   const core::TMarkConfig config;
   const std::size_t q = hin.num_classes();
 
-  // Warm-up, which also yields the iteration counts.
-  const std::size_t width_q_iterations =
-      FitAllClasses(hin, labeled, ops, config);
+  // Side 0 is the width-q fit, side 1 + c class c alone.
+  std::size_t width_q_iterations = 0;
   std::vector<std::size_t> width_1_iterations(q);
+  std::vector<std::function<void()>> sides = {
+      [&] { width_q_iterations = FitAllClasses(hin, labeled, ops, config); }};
   for (std::size_t c = 0; c < q; ++c) {
-    width_1_iterations[c] = FitClassAlone(hin, labeled, ops, config, c);
+    sides.push_back([&, c] {
+      width_1_iterations[c] = FitClassAlone(hin, labeled, ops, config, c);
+    });
   }
-  const int repeats = std::max(9, bench::BenchTimer::Repeats());
-  std::vector<double> width_q_ms;
-  std::vector<std::vector<double>> width_1_ms(q);
-  const auto run_width_q = [&] {
-    obs::Stopwatch watch;
-    FitAllClasses(hin, labeled, ops, config);
-    width_q_ms.push_back(watch.ElapsedMs());
-  };
-  const auto run_width_1 = [&] {
-    for (std::size_t c = 0; c < q; ++c) {
-      obs::Stopwatch watch;
-      FitClassAlone(hin, labeled, ops, config, c);
-      width_1_ms[c].push_back(watch.ElapsedMs());
-    }
-  };
-  for (int r = 0; r < repeats; ++r) {
-    if (r % 2 == 0) {
-      run_width_q();
-      run_width_1();
-    } else {
-      run_width_1();
-      run_width_q();
-    }
-  }
+  const std::vector<std::vector<double>> ms = bench::TimeAlternating(sides);
 
   const std::string threads = std::to_string(parallel::NumThreads());
   const std::string host_cores =
@@ -242,21 +217,20 @@ void RunFitEngineComparison() {
         threads,
         host_cores,
         FormatDouble(*std::min_element(runs.begin(), runs.end()), 3),
-        FormatDouble(Median(runs), 3),
+        FormatDouble(bench::Median(runs), 3),
         std::to_string(iterations)};
     rows.push_back(row);
     table.AddRow(std::move(row));
   };
-  add_row("width_q", "all", width_q_ms, width_q_iterations);
+  add_row("width_q", "all", ms[0], width_q_iterations);
   for (std::size_t c = 0; c < q; ++c) {
-    add_row("width_1", std::to_string(c), width_1_ms[c],
-            width_1_iterations[c]);
+    add_row("width_1", std::to_string(c), ms[1 + c], width_1_iterations[c]);
   }
   std::cout << "fit-engine comparison (dblp synthetic preset, "
             << hin.num_nodes() << " nodes, " << q
             << " classes, prebuilt operators; one width-q fit vs each class "
                "alone at width 1, alternating, "
-            << repeats << " rounds)\n";
+            << ms[0].size() << " rounds)\n";
   table.Print(std::cout);
   if (bench::BenchObsSession* session = bench::BenchObsSession::active()) {
     session->RecordTable(

@@ -17,10 +17,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "tmark/common/string_util.h"
 #include "tmark/eval/experiment.h"
@@ -248,6 +253,13 @@ inline std::size_t ScaledNodes(std::size_t base) {
   return scaled < 60.0 ? 60 : static_cast<std::size_t>(scaled);
 }
 
+/// Median of `runs` (the mean of the middle two for an even count).
+inline double Median(std::vector<double> runs) {
+  std::sort(runs.begin(), runs.end());
+  const std::size_t mid = runs.size() / 2;
+  return runs.size() % 2 == 1 ? runs[mid] : 0.5 * (runs[mid - 1] + runs[mid]);
+}
+
 /// Warm-up/repeat timing loop for the table benches: runs the workload
 /// TMARK_BENCH_WARMUP times untimed (default 0), then TMARK_BENCH_REPEATS
 /// times timed (default 1), and reports min and median wall-clock. Min and
@@ -276,13 +288,9 @@ class BenchTimer {
       fn();
       runs.push_back(watch.ElapsedMs());
     }
-    std::sort(runs.begin(), runs.end());
-    const std::size_t mid = runs.size() / 2;
     Timing timing;
-    timing.min_ms = runs.front();
-    timing.median_ms = runs.size() % 2 == 1
-                           ? runs[mid]
-                           : 0.5 * (runs[mid - 1] + runs[mid]);
+    timing.min_ms = *std::min_element(runs.begin(), runs.end());
+    timing.median_ms = Median(std::move(runs));
     timing.repeats = repeats;
     return timing;
   }
@@ -294,6 +302,72 @@ class BenchTimer {
     const int v = std::atoi(env);
     return v >= 0 ? v : fallback;
   }
+};
+
+/// Times workloads that a gate compares against each other. Each side runs
+/// once untimed as a warm-up; then max(9, TMARK_BENCH_REPEATS) rounds run
+/// every side once, in order on even rounds and in reverse on odd ones.
+/// Drift, a disturbance or a migration then lands on both sides of a round
+/// instead of on one side's whole block, so per-round ratios and medians
+/// compare like with like. Returns each side's per-round times in ms.
+inline std::vector<std::vector<double>> TimeAlternating(
+    const std::vector<std::function<void()>>& sides) {
+  for (const std::function<void()>& side : sides) side();
+  const int rounds = std::max(9, BenchTimer::Repeats());
+  std::vector<std::vector<double>> ms(sides.size());
+  for (int r = 0; r < rounds; ++r) {
+    for (std::size_t i = 0; i < sides.size(); ++i) {
+      const std::size_t s = r % 2 == 0 ? i : sides.size() - 1 - i;
+      obs::Stopwatch watch;
+      sides[s]();
+      ms[s].push_back(watch.ElapsedMs());
+    }
+  }
+  return ms;
+}
+
+/// Median over rounds of numerator[r] / denominator[r]: the per-round
+/// ratios of two sides timed by TimeAlternating.
+inline double MedianRatio(const std::vector<double>& numerator,
+                          const std::vector<double>& denominator) {
+  std::vector<double> ratios;
+  for (std::size_t r = 0; r < numerator.size(); ++r) {
+    ratios.push_back(numerator[r] / denominator[r]);
+  }
+  return Median(std::move(ratios));
+}
+
+/// Pins the calling thread to the vCPU it is running on, and restores its
+/// previous affinity on destruction. A single-threaded timing table then
+/// cannot migrate between vCPUs that run the same code at different speeds
+/// halfway through a comparison. Only the calling thread is affected; where
+/// pinning is unavailable the guard does nothing.
+class PinToCurrentCpu {
+ public:
+  PinToCurrentCpu() {
+#if defined(__linux__)
+    const int cpu = sched_getcpu();
+    if (cpu < 0 || sched_getaffinity(0, sizeof(saved_), &saved_) != 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pinned_ = sched_setaffinity(0, sizeof(one), &one) == 0;
+#endif
+  }
+  ~PinToCurrentCpu() {
+#if defined(__linux__)
+    if (pinned_) sched_setaffinity(0, sizeof(saved_), &saved_);
+#endif
+  }
+
+  PinToCurrentCpu(const PinToCurrentCpu&) = delete;
+  PinToCurrentCpu& operator=(const PinToCurrentCpu&) = delete;
+
+ private:
+#if defined(__linux__)
+  cpu_set_t saved_;
+#endif
+  bool pinned_ = false;
 };
 
 }  // namespace tmark::bench

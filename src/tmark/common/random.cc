@@ -1,7 +1,6 @@
 #include "tmark/common/random.h"
 
 #include <cmath>
-#include <numeric>
 
 #include "tmark/common/check.h"
 
@@ -77,20 +76,6 @@ std::size_t Rng::Categorical(const std::vector<double>& weights) {
     if (target < 0.0) return i;
   }
   return weights.size() - 1;  // Floating-point slack: return the last index.
-}
-
-std::vector<std::size_t> Rng::SampleWithoutReplacement(std::size_t n,
-                                                       std::size_t k) {
-  TMARK_CHECK(k <= n);
-  std::vector<std::size_t> all(n);
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  // Partial Fisher-Yates: the first k positions become the sample.
-  for (std::size_t i = 0; i < k; ++i) {
-    std::size_t j = i + static_cast<std::size_t>(UniformInt(n - i));
-    std::swap(all[i], all[j]);
-  }
-  all.resize(k);
-  return all;
 }
 
 Rng Rng::Fork() { return Rng((*this)() ^ 0xD1B54A32D192ED03ULL); }

@@ -63,10 +63,6 @@ class Rng {
     }
   }
 
-  /// Returns `k` distinct indices sampled uniformly from [0, n).
-  std::vector<std::size_t> SampleWithoutReplacement(std::size_t n,
-                                                    std::size_t k);
-
   /// Derives an independent child generator; useful for giving each trial or
   /// each worker its own stream without correlation.
   Rng Fork();

@@ -36,10 +36,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 std::string FormatDouble(double value, int digits) {
   std::ostringstream os;
   os.setf(std::ios::fixed);

@@ -17,9 +17,6 @@ std::string Strip(std::string_view s);
 /// Joins `parts` with `sep` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// Returns true if `s` begins with `prefix`.
-bool StartsWith(std::string_view s, std::string_view prefix);
-
 /// Formats `value` with `digits` places after the decimal point (fixed).
 std::string FormatDouble(double value, int digits);
 

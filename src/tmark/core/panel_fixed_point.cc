@@ -78,7 +78,8 @@ std::size_t PanelFixedPoint::Run(const PreparedOperators& ops,
       tensors.ApplyRPanel(x_next_, x_next_, width, &z_next_, &ws_, &x_sums_,
                           &x_sums_, &z_sums_);
       // Simplex re-projection guards against the cubic amplification of
-      // rounding error through the z = (sum x)^2 coupling (see MultiRank).
+      // rounding error through the z = (sum x)^2 coupling; the fixed-point
+      // property test pins every column to the simplex.
       // Fused normalize + residual: one sweep each for x and z.
       la::FusedNormalizeDistanceColumns(&x_sums_, x_, width, &x_next_,
                                         &rho_x_);

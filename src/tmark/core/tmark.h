@@ -110,9 +110,12 @@ class TMarkClassifier : public hin::CollectiveClassifier {
   /// Incremental mode: re-runs Algorithm 1 initialized from the previous
   /// stationary distributions instead of the label vectors. After modest
   /// changes to the HIN (new edges, extra labels) the chain starts near its
-  /// fixed point and converges in a fraction of the cold-start iterations
-  /// while reaching the same unique solution (Theorem 3). Falls back to a
-  /// cold Fit when no compatible previous state exists.
+  /// fixed point and reaches the same unique solution (Theorem 3). With
+  /// ica_update off it converges in a fraction of the cold-start iterations.
+  /// With it on, the first two iterations restart from the raw label vectors
+  /// (the ICA refresh starts at iteration 3), which pulls x off the fixed
+  /// point, so a warm run can take as many iterations as a cold one. Falls
+  /// back to a cold Fit when no compatible previous state exists.
   void Refit(const hin::Hin& hin, const std::vector<std::size_t>& labeled);
 
   /// Incremental update, the fast path of docs/PERFORMANCE.md "Incremental

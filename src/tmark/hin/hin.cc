@@ -38,10 +38,6 @@ std::uint32_t Hin::PrimaryLabel(std::size_t node) const {
   return ls.front();
 }
 
-tensor::SparseTensor3 Hin::ToAdjacencyTensor() const {
-  return tensor::SparseTensor3::FromSlices(relations_);
-}
-
 la::SparseMatrix Hin::AggregatedRelation() const {
   la::SparseMatrix agg(num_nodes_, num_nodes_);
   for (const la::SparseMatrix& r : relations_) agg = agg.Add(r);

@@ -2,12 +2,12 @@
 #define TMARK_HIN_HIN_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "tmark/common/status.h"
 #include "tmark/la/sparse_matrix.h"
-#include "tmark/tensor/sparse_tensor3.h"
 
 namespace tmark::hin {
 
@@ -39,7 +39,8 @@ class Hin {
   /// links to node i through relation k (column = source, row = destination,
   /// matching the tensor convention of Sec. 3.1).
   const la::SparseMatrix& relation(std::size_t k) const;
-  /// All m relation adjacency matrices, in relation order.
+  /// All m relation adjacency matrices, in relation order: the front slices
+  /// A(:,:,k) of the (n x n x m) adjacency tensor A of Sec. 3.1.
   const std::vector<la::SparseMatrix>& relations() const { return relations_; }
 
   /// Human-readable name of the k-th relation (e.g. "SIGMOD", "co-author").
@@ -59,9 +60,6 @@ class Hin {
 
   /// Primary (first) label of a node; requires a non-empty label set.
   std::uint32_t PrimaryLabel(std::size_t node) const;
-
-  /// Assembles the (n x n x m) adjacency tensor A of Sec. 3.1.
-  tensor::SparseTensor3 ToAdjacencyTensor() const;
 
   /// Single graph summing all relations (used by aggregate-link baselines).
   la::SparseMatrix AggregatedRelation() const;

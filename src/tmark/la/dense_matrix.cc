@@ -104,25 +104,6 @@ Vector DenseMatrix::ColumnSums() const {
   return sums;
 }
 
-void DenseMatrix::NormalizeColumns(double eps) {
-  const Vector sums = ColumnSums();
-  for (std::size_t c = 0; c < cols_; ++c) {
-    if (sums[c] > eps) {
-      const double inv = 1.0 / sums[c];
-      for (std::size_t r = 0; r < rows_; ++r) At(r, c) *= inv;
-    } else {
-      const double u = 1.0 / static_cast<double>(rows_);
-      for (std::size_t r = 0; r < rows_; ++r) At(r, c) = u;
-    }
-  }
-}
-
-double DenseMatrix::FrobeniusNorm() const {
-  double s = 0.0;
-  for (double v : data_) s += v * v;
-  return std::sqrt(s);
-}
-
 double DenseMatrix::MaxAbsDiff(const DenseMatrix& other) const {
   TMARK_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
   double m = 0.0;

@@ -63,17 +63,10 @@ class DenseMatrix {
   /// Sum over each column -> vector of length cols().
   Vector ColumnSums() const;
 
-  /// Normalizes each column to sum to one. Columns whose sum is <= `eps` are
-  /// replaced by the uniform column 1/rows (the dangling-node convention).
-  void NormalizeColumns(double eps = 0.0);
-
-  /// Frobenius norm.
-  double FrobeniusNorm() const;
-
   /// Maximum absolute element-wise difference against `other` (same shape).
   double MaxAbsDiff(const DenseMatrix& other) const;
 
-  /// Flat data access (row-major), e.g. for optimizer updates.
+  /// Flat data access (row-major).
   std::vector<double>& data() { return data_; }
   const std::vector<double>& data() const { return data_; }
 

@@ -83,20 +83,6 @@ SparseMatrix SparseMatrix::FromCsr(std::size_t rows, std::size_t cols,
   return m;
 }
 
-SparseMatrix SparseMatrix::FromDense(const DenseMatrix& dense, double tol) {
-  std::vector<Triplet> trips;
-  for (std::size_t r = 0; r < dense.rows(); ++r) {
-    for (std::size_t c = 0; c < dense.cols(); ++c) {
-      const double v = dense.At(r, c);
-      if (std::abs(v) > tol) {
-        trips.push_back({static_cast<std::uint32_t>(r),
-                         static_cast<std::uint32_t>(c), v});
-      }
-    }
-  }
-  return FromTriplets(dense.rows(), dense.cols(), std::move(trips));
-}
-
 double SparseMatrix::At(std::size_t r, std::size_t c) const {
   TMARK_CHECK(r < rows_ && c < cols_);
   const auto begin = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[r]);

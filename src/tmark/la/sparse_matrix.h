@@ -62,9 +62,6 @@ class SparseMatrix {
                               std::vector<std::uint32_t> col_idx,
                               std::vector<double> values);
 
-  /// Converts a dense matrix, dropping entries with |v| <= tol.
-  static SparseMatrix FromDense(const DenseMatrix& dense, double tol = 0.0);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t NumNonZeros() const { return values_.size(); }

@@ -8,8 +8,6 @@
 
 namespace tmark::la {
 
-Vector Constant(std::size_t n, double value) { return Vector(n, value); }
-
 Vector Zeros(std::size_t n) { return Vector(n, 0.0); }
 
 Vector UniformProbability(std::size_t n) {
@@ -21,20 +19,6 @@ double Dot(const Vector& a, const Vector& b) {
   TMARK_CHECK(a.size() == b.size());
   double s = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
-
-double Norm1(const Vector& v) {
-  double s = 0.0;
-  for (double x : v) s += std::abs(x);
-  return s;
-}
-
-double Norm2(const Vector& v) { return std::sqrt(Dot(v, v)); }
-
-double NormInf(const Vector& v) {
-  double s = 0.0;
-  for (double x : v) s = std::max(s, std::abs(x));
   return s;
 }
 
@@ -56,13 +40,6 @@ Vector Add(const Vector& a, const Vector& b) {
   TMARK_CHECK(a.size() == b.size());
   Vector out(a);
   Axpy(1.0, b, &out);
-  return out;
-}
-
-Vector Sub(const Vector& a, const Vector& b) {
-  TMARK_CHECK(a.size() == b.size());
-  Vector out(a);
-  Axpy(-1.0, b, &out);
   return out;
 }
 

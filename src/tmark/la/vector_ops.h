@@ -10,9 +10,6 @@ namespace tmark::la {
 /// trivial; the free functions below supply the numeric kernels.
 using Vector = std::vector<double>;
 
-/// Returns a vector of length n filled with `value`.
-Vector Constant(std::size_t n, double value);
-
 /// Returns the all-zero vector of length n.
 Vector Zeros(std::size_t n);
 
@@ -21,15 +18,6 @@ Vector UniformProbability(std::size_t n);
 
 /// Dot product. Requires equal sizes.
 double Dot(const Vector& a, const Vector& b);
-
-/// L1 norm: sum of absolute values.
-double Norm1(const Vector& v);
-
-/// L2 norm.
-double Norm2(const Vector& v);
-
-/// Maximum absolute entry.
-double NormInf(const Vector& v);
 
 /// Sum of entries.
 double Sum(const Vector& v);
@@ -42,9 +30,6 @@ void Scale(double alpha, Vector* v);
 
 /// Returns a + b.
 Vector Add(const Vector& a, const Vector& b);
-
-/// Returns a - b.
-Vector Sub(const Vector& a, const Vector& b);
 
 /// ||a - b||_1. Requires equal sizes.
 double L1Distance(const Vector& a, const Vector& b);

@@ -16,8 +16,8 @@ namespace {
 // their fiber totals sum_k A[i,j,k] and lists the row's linked columns
 // (total > 0) ascending. The totals accumulate in the row's entry order,
 // which is ascending k per column — the same chain, and therefore the same
-// doubles, as SparseTensor3::SumOverRelations. `total` is n zeros on entry
-// and on return.
+// doubles, as hin::Hin::AggregatedRelation. `total` is n zeros on entry and
+// on return.
 void NormalizeFibers(const std::uint32_t* col, double* r, std::size_t count,
                      std::vector<double>* total,
                      std::vector<std::uint32_t>* linked) {

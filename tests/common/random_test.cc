@@ -141,27 +141,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_EQ(v, orig);
 }
 
-TEST(RngTest, SampleWithoutReplacementDistinct) {
-  Rng rng(47);
-  const auto sample = rng.SampleWithoutReplacement(100, 30);
-  EXPECT_EQ(sample.size(), 30u);
-  std::set<std::size_t> unique(sample.begin(), sample.end());
-  EXPECT_EQ(unique.size(), 30u);
-  for (std::size_t s : sample) EXPECT_LT(s, 100u);
-}
-
-TEST(RngTest, SampleWithoutReplacementFull) {
-  Rng rng(53);
-  const auto sample = rng.SampleWithoutReplacement(5, 5);
-  std::set<std::size_t> unique(sample.begin(), sample.end());
-  EXPECT_EQ(unique.size(), 5u);
-}
-
-TEST(RngTest, SampleTooManyThrows) {
-  Rng rng(1);
-  EXPECT_THROW(rng.SampleWithoutReplacement(3, 4), CheckError);
-}
-
 TEST(RngTest, ForkProducesIndependentStream) {
   Rng parent(59);
   Rng child = parent.Fork();

@@ -40,12 +40,6 @@ TEST(JoinTest, JoinsWithSeparator) {
   EXPECT_EQ(Join({"only"}, ","), "only");
 }
 
-TEST(StartsWithTest, Basics) {
-  EXPECT_TRUE(StartsWith("edge 1 2", "edge"));
-  EXPECT_FALSE(StartsWith("edg", "edge"));
-  EXPECT_TRUE(StartsWith("anything", ""));
-}
-
 TEST(FormatDoubleTest, FixedDigits) {
   EXPECT_EQ(FormatDouble(0.92857, 3), "0.929");
   EXPECT_EQ(FormatDouble(1.0, 2), "1.00");

@@ -31,7 +31,7 @@ TEST(PaperExampleTest, StructureMatchesSection32) {
 
 TEST(PaperExampleTest, TensorHasSevenEntries) {
   const hin::Hin hin = MakePaperExample();
-  EXPECT_EQ(hin.ToAdjacencyTensor().NumNonZeros(), 7u);
+  EXPECT_EQ(hin.NumLinks(), 7u);
 }
 
 TEST(PaperExampleTest, CosineMatrixMatchesSection43) {

@@ -96,15 +96,6 @@ TEST(HinBuilderTest, BoundsChecks) {
   EXPECT_THROW(b.AddFeature(0, 2, 1.0), CheckError);
 }
 
-TEST(HinBuilderTest, ToAdjacencyTensorMatchesRelations) {
-  const Hin hin = SmallHin();
-  const tensor::SparseTensor3 a = hin.ToAdjacencyTensor();
-  EXPECT_EQ(a.num_nodes(), 3u);
-  EXPECT_EQ(a.num_relations(), 2u);
-  EXPECT_DOUBLE_EQ(a.At(0, 1, 0), 1.0);
-  EXPECT_DOUBLE_EQ(a.At(0, 2, 1), 2.0);
-}
-
 TEST(HinBuilderTest, AggregatedRelationSums) {
   HinBuilder b(2, 1);
   b.AddClass("A");

@@ -85,21 +85,6 @@ TEST(DenseMatrixTest, ColumnSums) {
   EXPECT_EQ(Sample().ColumnSums(), (Vector{5.0, 7.0, 9.0}));
 }
 
-TEST(DenseMatrixTest, NormalizeColumnsStochastic) {
-  DenseMatrix m = DenseMatrix::FromRows({{1.0, 0.0}, {3.0, 0.0}});
-  m.NormalizeColumns();
-  EXPECT_DOUBLE_EQ(m.At(0, 0), 0.25);
-  EXPECT_DOUBLE_EQ(m.At(1, 0), 0.75);
-  // Zero column becomes uniform (dangling convention).
-  EXPECT_DOUBLE_EQ(m.At(0, 1), 0.5);
-  EXPECT_DOUBLE_EQ(m.At(1, 1), 0.5);
-}
-
-TEST(DenseMatrixTest, FrobeniusNorm) {
-  const DenseMatrix m = DenseMatrix::FromRows({{3.0, 0.0}, {0.0, 4.0}});
-  EXPECT_DOUBLE_EQ(m.FrobeniusNorm(), 5.0);
-}
-
 TEST(DenseMatrixTest, MaxAbsDiff) {
   DenseMatrix a = Sample();
   DenseMatrix b = Sample();

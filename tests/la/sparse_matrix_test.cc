@@ -68,14 +68,6 @@ TEST(SparseMatrixTest, FromCsrTakesTheArrays) {
                CheckError);
 }
 
-TEST(SparseMatrixTest, FromDenseRoundTrip) {
-  const DenseMatrix d =
-      DenseMatrix::FromRows({{0.0, 1.5, 0.0}, {2.0, 0.0, -1.0}});
-  const SparseMatrix s = SparseMatrix::FromDense(d);
-  EXPECT_EQ(s.NumNonZeros(), 3u);
-  EXPECT_DOUBLE_EQ(s.ToDense().MaxAbsDiff(d), 0.0);
-}
-
 TEST(SparseMatrixTest, MatVecMatchesDense) {
   Rng rng(5);
   const SparseMatrix s = RandomSparse(13, 9, 0.3, &rng);

@@ -8,7 +8,6 @@ namespace tmark::la {
 namespace {
 
 TEST(VectorOpsTest, Constructors) {
-  EXPECT_EQ(Constant(3, 2.5), (Vector{2.5, 2.5, 2.5}));
   EXPECT_EQ(Zeros(2), (Vector{0.0, 0.0}));
   const Vector u = UniformProbability(4);
   for (double v : u) EXPECT_DOUBLE_EQ(v, 0.25);
@@ -19,9 +18,6 @@ TEST(VectorOpsTest, DotAndNorms) {
   const Vector a = {1.0, -2.0, 3.0};
   const Vector b = {4.0, 5.0, -6.0};
   EXPECT_DOUBLE_EQ(Dot(a, b), 4.0 - 10.0 - 18.0);
-  EXPECT_DOUBLE_EQ(Norm1(a), 6.0);
-  EXPECT_DOUBLE_EQ(Norm2({3.0, 4.0}), 5.0);
-  EXPECT_DOUBLE_EQ(NormInf(a), 3.0);
   EXPECT_DOUBLE_EQ(Sum(a), 2.0);
 }
 
@@ -36,7 +32,6 @@ TEST(VectorOpsTest, AxpyScaleAddSub) {
   Scale(0.5, &y);
   EXPECT_EQ(y, (Vector{3.5, -0.5}));
   EXPECT_EQ(Add({1.0, 2.0}, {3.0, 4.0}), (Vector{4.0, 6.0}));
-  EXPECT_EQ(Sub({1.0, 2.0}, {3.0, 4.0}), (Vector{-2.0, -2.0}));
 }
 
 TEST(VectorOpsTest, L1Distance) {

@@ -1,6 +1,7 @@
 #include "tmark/obs/logging.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <fstream>
 #include <iterator>
@@ -16,7 +17,9 @@ class LoggingTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Logger::Instance().set_stderr_enabled(false);
-    path_ = ::testing::TempDir() + "/tmark_logging_test.log";
+    // Own file per process: ctest -j runs the cases as concurrent processes.
+    path_ = ::testing::TempDir() + "/tmark_logging_test." +
+            std::to_string(::getpid()) + ".log";
     std::remove(path_.c_str());
     ASSERT_TRUE(Logger::Instance().set_sink_file(path_));
   }

@@ -20,8 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
-#include <ostream>
 #include <set>
 #include <string>
 #include <tuple>
@@ -41,13 +39,10 @@
 #include "tmark/la/sparse_matrix.h"
 #include "tmark/parallel/thread_pool.h"
 #include "tmark/tensor/transition_tensors.h"
+#include "hin_shapes.h"
 
 namespace tmark {
 namespace {
-
-struct ThreadCountGuard {
-  ~ThreadCountGuard() { parallel::SetNumThreads(0); }
-};
 
 hin::Hin MakeTestHin() {
   datasets::SyntheticHinConfig config;
@@ -178,30 +173,6 @@ TEST(UpdateFitTest, PatchedOperatorsBitIdenticalToRebuild) {
 }
 
 // ---- Randomized patched == rebuilt properties -------------------------------
-
-/// n nodes with one feature each and `edges` random weighted links spread
-/// over m relations, except relation `empty_relation` (left without links)
-/// and node `isolated` (left without links); npos disables either.
-hin::Hin RandomHin(std::size_t n, std::size_t m, std::size_t edges,
-                   std::uint64_t seed,
-                   std::size_t empty_relation = la::SparseMatrix::npos,
-                   std::size_t isolated = la::SparseMatrix::npos) {
-  hin::HinBuilder builder(n, 4);
-  for (std::size_t k = 0; k < m; ++k) {
-    builder.AddRelation("r" + std::to_string(k));
-  }
-  builder.AddClass("c");
-  Rng rng(seed);
-  for (std::size_t e = 0; e < edges; ++e) {
-    const std::size_t k = rng.UniformInt(m);
-    const std::size_t src = rng.UniformInt(n);
-    const std::size_t dst = rng.UniformInt(n);
-    if (k == empty_relation || src == isolated || dst == isolated) continue;
-    builder.AddDirectedEdge(k, src, dst, rng.Uniform(0.5, 2.0));
-  }
-  for (std::size_t i = 0; i < n; ++i) builder.AddFeature(i, i % 4, 1.0);
-  return std::move(builder).Build();
-}
 
 /// One HinDelta whose edge ops are each valid against the pre-mutation
 /// network and touch distinct (relation, dst, src) keys.
@@ -356,15 +327,7 @@ void ExpectStochasticAndDenseConsistent(const tensor::TransitionTensors& t,
   }
 }
 
-struct PatchShape {
-  std::string name;
-  std::function<hin::Hin(std::uint64_t seed)> make;
-};
-
-// Names the case by its shape, so test names stay stable across builds.
-void PrintTo(const PatchShape& shape, std::ostream* os) { *os << shape.name; }
-
-class RandomPatchTest : public ::testing::TestWithParam<PatchShape> {};
+class RandomPatchTest : public ::testing::TestWithParam<HinShape> {};
 
 // Four batches per seed: the even ones empty a relation row, a relation
 // column and a linked pair (every relation), the odd ones refill what the
@@ -475,43 +438,8 @@ TEST_P(RandomPatchTest, PatchedEqualsRebuiltAfterEveryBatch) {
   EXPECT_TRUE(seen.pair_unlinked && seen.pair_relinked);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, RandomPatchTest,
-    ::testing::Values(
-        PatchShape{"generated",
-                   [](std::uint64_t seed) {
-                     return datasets::GenerateSyntheticHin(
-                         datasets::ScalingSyntheticConfig(120, seed));
-                   }},
-        PatchShape{"one_relation",
-                   [](std::uint64_t seed) {
-                     return RandomHin(12, 1, 30, seed);
-                   }},
-        PatchShape{"empty_relation",
-                   [](std::uint64_t seed) {
-                     return RandomHin(12, 3, 40, seed, /*empty_relation=*/1);
-                   }},
-        PatchShape{"isolated_node",
-                   [](std::uint64_t seed) {
-                     return RandomHin(12, 2, 40, seed,
-                                      la::SparseMatrix::npos,
-                                      /*isolated=*/5);
-                   }},
-        PatchShape{"single_entry",
-                   [](std::uint64_t seed) {
-                     hin::HinBuilder builder(5, 2);
-                     builder.AddRelation("r0");
-                     builder.AddRelation("r1");
-                     builder.AddClass("c");
-                     builder.AddDirectedEdge(seed % 2, 3, 1, 2.0);
-                     for (std::size_t i = 0; i < 5; ++i) {
-                       builder.AddFeature(i, i % 2, 1.0);
-                     }
-                     return std::move(builder).Build();
-                   }}),
-    [](const ::testing::TestParamInfo<PatchShape>& info) {
-      return info.param.name;
-    });
+INSTANTIATE_TEST_SUITE_P(Shapes, RandomPatchTest,
+                         ::testing::ValuesIn(HinShapes()), HinShapeName);
 
 TEST(UpdateFitTest, WarmUpdateMatchesColdFitWithinTolerance) {
   ThreadCountGuard guard;

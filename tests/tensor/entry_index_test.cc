@@ -3,35 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "tmark/common/check.h"
 #include "tmark/common/random.h"
 #include "tmark/la/dense_matrix.h"
 #include "tmark/la/panel.h"
-#include "tmark/tensor/sparse_tensor3.h"
+#include "tensor_slices.h"
 
 namespace tmark::tensor {
 namespace {
-
-SparseTensor3 RandomTensor(std::size_t n, std::size_t m, double density,
-                           Rng* rng) {
-  std::vector<TensorEntry> entries;
-  for (std::size_t k = 0; k < m; ++k) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (rng->Bernoulli(density)) {
-          entries.push_back({static_cast<std::uint32_t>(i),
-                             static_cast<std::uint32_t>(j),
-                             static_cast<std::uint32_t>(k),
-                             rng->Uniform(0.1, 1.0)});
-        }
-      }
-    }
-  }
-  return SparseTensor3::FromEntries(n, m, std::move(entries));
-}
 
 // Panels carry two columns more than the width under test, so a kernel that
 // read or wrote past the leading `width` columns, or mixed up the column
@@ -48,22 +29,22 @@ la::DenseMatrix RandomPanel(std::size_t rows, std::size_t cols, Rng* rng) {
 
 TEST(EntryIndexTest, FromSlicesIndexesEveryStoredEntry) {
   Rng rng(2);
-  const SparseTensor3 t = RandomTensor(9, 4, 0.2, &rng);
+  const std::vector<la::SparseMatrix> t = RandomSlices(9, 4, 0.2, &rng);
   std::vector<double> values;
-  const EntryIndex index = EntryIndex::FromSlices(t.slices(), &values);
+  const EntryIndex index = EntryIndex::FromSlices(t, &values);
   EXPECT_EQ(index.num_nodes(), 9u);
   EXPECT_EQ(index.num_relations(), 4u);
-  ASSERT_EQ(index.num_entries(), t.NumNonZeros());
-  ASSERT_EQ(values.size(), t.NumNonZeros());
+  ASSERT_EQ(index.num_entries(), NumNonZeros(t));
+  ASSERT_EQ(values.size(), NumNonZeros(t));
   for (std::size_t i = 0; i < 9; ++i) {
     for (std::size_t j = 0; j < 9; ++j) {
       for (std::size_t k = 0; k < 4; ++k) {
         const std::size_t e = index.Find(i, j, k);
-        if (t.At(i, j, k) == 0.0) {
+        if (t[k].At(i, j) == 0.0) {
           EXPECT_EQ(e, EntryIndex::npos);
         } else {
           ASSERT_NE(e, EntryIndex::npos);
-          EXPECT_EQ(values[e], t.At(i, j, k));
+          EXPECT_EQ(values[e], t[k].At(i, j));
         }
       }
     }
@@ -72,9 +53,9 @@ TEST(EntryIndexTest, FromSlicesIndexesEveryStoredEntry) {
 
 TEST(EntryIndexTest, ContractMode1MatchesBruteForce) {
   Rng rng(3);
-  const SparseTensor3 t = RandomTensor(7, 3, 0.3, &rng);
+  const std::vector<la::SparseMatrix> t = RandomSlices(7, 3, 0.3, &rng);
   std::vector<double> values;
-  const EntryIndex index = EntryIndex::FromSlices(t.slices(), &values);
+  const EntryIndex index = EntryIndex::FromSlices(t, &values);
   for (const std::size_t width : {1u, 3u}) {
     SCOPED_TRACE("width " + std::to_string(width));
     const std::size_t stride = width + kExtraColumns;
@@ -92,7 +73,7 @@ TEST(EntryIndexTest, ContractMode1MatchesBruteForce) {
         double expect = 0.0;
         for (std::size_t j = 0; j < 7; ++j) {
           for (std::size_t k = 0; k < 3; ++k) {
-            expect += t.At(i, j, k) * x.At(j, c) * z.At(k, c);
+            expect += t[k].At(i, j) * x.At(j, c) * z.At(k, c);
           }
         }
         EXPECT_NEAR(y.At(i, c), expect, 1e-12);
@@ -103,9 +84,9 @@ TEST(EntryIndexTest, ContractMode1MatchesBruteForce) {
 
 TEST(EntryIndexTest, ContractMode3MatchesBruteForce) {
   Rng rng(4);
-  const SparseTensor3 t = RandomTensor(6, 4, 0.3, &rng);
+  const std::vector<la::SparseMatrix> t = RandomSlices(6, 4, 0.3, &rng);
   std::vector<double> values;
-  const EntryIndex index = EntryIndex::FromSlices(t.slices(), &values);
+  const EntryIndex index = EntryIndex::FromSlices(t, &values);
   for (const std::size_t width : {1u, 3u}) {
     SCOPED_TRACE("width " + std::to_string(width));
     const std::size_t stride = width + kExtraColumns;
@@ -123,7 +104,7 @@ TEST(EntryIndexTest, ContractMode3MatchesBruteForce) {
         double expect = 0.0;
         for (std::size_t i = 0; i < 6; ++i) {
           for (std::size_t j = 0; j < 6; ++j) {
-            expect += t.At(i, j, k) * x.At(i, c) * y.At(j, c);
+            expect += t[k].At(i, j) * x.At(i, c) * y.At(j, c);
           }
         }
         EXPECT_NEAR(w.At(k, c), expect, 1e-12);
@@ -134,10 +115,10 @@ TEST(EntryIndexTest, ContractMode3MatchesBruteForce) {
 
 TEST(EntryIndexTest, ContractionSizeChecks) {
   // 3 nodes, 2 relations.
-  const SparseTensor3 t = SparseTensor3::FromEntries(
-      3, 2, {{0, 1, 0, 1.0}, {1, 0, 0, 2.0}, {2, 1, 1, 3.0}, {0, 2, 1, 4.0}});
+  const std::vector<la::SparseMatrix> t =
+      Slices(3, {{{0, 1, 1.0}, {1, 0, 2.0}}, {{2, 1, 3.0}, {0, 2, 4.0}}});
   std::vector<double> values;
-  const EntryIndex index = EntryIndex::FromSlices(t.slices(), &values);
+  const EntryIndex index = EntryIndex::FromSlices(t, &values);
   la::PanelWorkspace ws;
   const la::DenseMatrix x(3, 1);
   const la::DenseMatrix z(2, 1);

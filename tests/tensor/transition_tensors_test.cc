@@ -4,6 +4,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "tmark/common/check.h"
 #include "tmark/common/random.h"
@@ -11,27 +12,10 @@
 #include "tmark/la/dense_matrix.h"
 #include "tmark/la/panel.h"
 #include "tmark/la/vector_ops.h"
+#include "tensor_slices.h"
 
 namespace tmark::tensor {
 namespace {
-
-SparseTensor3 RandomTensor(std::size_t n, std::size_t m, double density,
-                           Rng* rng) {
-  std::vector<TensorEntry> entries;
-  for (std::size_t k = 0; k < m; ++k) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (rng->Bernoulli(density)) {
-          entries.push_back({static_cast<std::uint32_t>(i),
-                             static_cast<std::uint32_t>(j),
-                             static_cast<std::uint32_t>(k),
-                             rng->Uniform(0.1, 1.0)});
-        }
-      }
-    }
-  }
-  return SparseTensor3::FromEntries(n, m, std::move(entries));
-}
 
 la::Vector RandomProbability(std::size_t n, Rng* rng) {
   la::Vector v(n);
@@ -57,8 +41,8 @@ la::DenseMatrix RandomProbabilityPanel(std::size_t rows, std::size_t cols,
 TEST(TransitionTensorsTest, OColumnsAreStochastic) {
   // Eq. (1): each (j, k) column of O sums to one, including dangling ones.
   Rng rng(1);
-  const SparseTensor3 a = RandomTensor(6, 3, 0.25, &rng);
-  const TransitionTensors t = TransitionTensors::Build(a.slices());
+  const std::vector<la::SparseMatrix> a = RandomSlices(6, 3, 0.25, &rng);
+  const TransitionTensors t = TransitionTensors::Build(a);
   for (std::size_t k = 0; k < 3; ++k) {
     for (std::size_t j = 0; j < 6; ++j) {
       double sum = 0.0;
@@ -71,8 +55,8 @@ TEST(TransitionTensorsTest, OColumnsAreStochastic) {
 TEST(TransitionTensorsTest, RFibersAreStochastic) {
   // Eq. (2): for every (i, j) pair, sum_k R[i,j,k] = 1 (dangling -> 1/m).
   Rng rng(2);
-  const SparseTensor3 a = RandomTensor(5, 4, 0.2, &rng);
-  const TransitionTensors t = TransitionTensors::Build(a.slices());
+  const std::vector<la::SparseMatrix> a = RandomSlices(5, 4, 0.2, &rng);
+  const TransitionTensors t = TransitionTensors::Build(a);
   for (std::size_t i = 0; i < 5; ++i) {
     for (std::size_t j = 0; j < 5; ++j) {
       double sum = 0.0;
@@ -84,21 +68,29 @@ TEST(TransitionTensorsTest, RFibersAreStochastic) {
 
 TEST(TransitionTensorsTest, ValuesMatchTheSliceNormalizations) {
   // Bit for bit at every stored entry: O is NormalizeColumnsSparse of its
-  // slice, and R divides A by the SumOverRelations total of its pair.
+  // slice, and R divides A by its pair's total over the relations, summed
+  // with SparseMatrix::Add in ascending k as Hin::AggregatedRelation does.
   Rng rng(5);
-  const SparseTensor3 a = RandomTensor(9, 4, 0.3, &rng);
-  const TransitionTensors t = TransitionTensors::Build(a.slices());
-  const la::SparseMatrix totals = a.SumOverRelations();
+  const std::vector<la::SparseMatrix> a = RandomSlices(9, 4, 0.3, &rng);
+  const TransitionTensors t = TransitionTensors::Build(a);
+  la::SparseMatrix totals(9, 9);
   std::vector<la::SparseMatrix> o;
-  for (const la::SparseMatrix& slice : a.slices()) {
+  for (const la::SparseMatrix& slice : a) {
+    totals = totals.Add(slice);
     o.push_back(slice.NormalizeColumnsSparse(nullptr));
   }
-  ASSERT_EQ(t.index().num_entries(), a.NumNonZeros());
-  for (const TensorEntry& entry : a.Entries()) {
-    const std::size_t e = t.index().Find(entry.i, entry.j, entry.k);
-    ASSERT_NE(e, EntryIndex::npos);
-    EXPECT_EQ(t.o_values()[e], o[entry.k].At(entry.i, entry.j));
-    EXPECT_EQ(t.r_values()[e], entry.value / totals.At(entry.i, entry.j));
+  ASSERT_EQ(t.index().num_entries(), NumNonZeros(a));
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    for (std::size_t i = 0; i < 9; ++i) {
+      for (std::size_t p = a[k].row_ptr()[i]; p < a[k].row_ptr()[i + 1];
+           ++p) {
+        const std::size_t j = a[k].col_idx()[p];
+        const std::size_t e = t.index().Find(i, j, k);
+        ASSERT_NE(e, EntryIndex::npos);
+        EXPECT_EQ(t.o_values()[e], o[k].At(i, j));
+        EXPECT_EQ(t.r_values()[e], a[k].values()[p] / totals.At(i, j));
+      }
+    }
   }
 }
 
@@ -120,9 +112,8 @@ TEST(TransitionTensorsTest, PaperExampleRFibersAreStochastic) {
 
 TEST(TransitionTensorsTest, DanglingColumnIsUniform) {
   // Node 2 has no outgoing link in relation 0 -> its column is 1/n.
-  const SparseTensor3 a = SparseTensor3::FromEntries(
-      3, 1, {{0, 1, 0, 1.0}, {1, 0, 0, 1.0}});
-  const TransitionTensors t = TransitionTensors::Build(a.slices());
+  const TransitionTensors t =
+      TransitionTensors::Build(Slices(3, {{{0, 1, 1.0}, {1, 0, 1.0}}}));
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(t.OEntry(i, 2, 0), 1.0 / 3.0);
   }
@@ -131,9 +122,8 @@ TEST(TransitionTensorsTest, DanglingColumnIsUniform) {
 }
 
 TEST(TransitionTensorsTest, UnlinkedPairIsUniformOverRelations) {
-  const SparseTensor3 a = SparseTensor3::FromEntries(
-      3, 2, {{0, 1, 0, 1.0}, {0, 1, 1, 3.0}});
-  const TransitionTensors t = TransitionTensors::Build(a.slices());
+  const TransitionTensors t =
+      TransitionTensors::Build(Slices(3, {{{0, 1, 1.0}}, {{0, 1, 3.0}}}));
   // Linked pair (0,1): normalized over relations.
   EXPECT_DOUBLE_EQ(t.REntry(0, 1, 0), 0.25);
   EXPECT_DOUBLE_EQ(t.REntry(0, 1, 1), 0.75);
@@ -144,8 +134,8 @@ TEST(TransitionTensorsTest, UnlinkedPairIsUniformOverRelations) {
 
 TEST(TransitionTensorsTest, ApplyOMatchesDenseReference) {
   Rng rng(3);
-  const SparseTensor3 a = RandomTensor(7, 3, 0.2, &rng);
-  const TransitionTensors t = TransitionTensors::Build(a.slices());
+  const std::vector<la::SparseMatrix> a = RandomSlices(7, 3, 0.2, &rng);
+  const TransitionTensors t = TransitionTensors::Build(a);
   for (const std::size_t width : {1u, 3u}) {
     SCOPED_TRACE("width " + std::to_string(width));
     const std::size_t stride = width + kExtraColumns;
@@ -174,8 +164,8 @@ TEST(TransitionTensorsTest, ApplyOMatchesDenseReference) {
 
 TEST(TransitionTensorsTest, ApplyRMatchesDenseReference) {
   Rng rng(4);
-  const SparseTensor3 a = RandomTensor(6, 4, 0.15, &rng);
-  const TransitionTensors t = TransitionTensors::Build(a.slices());
+  const std::vector<la::SparseMatrix> a = RandomSlices(6, 4, 0.15, &rng);
+  const TransitionTensors t = TransitionTensors::Build(a);
   for (const std::size_t width : {1u, 3u}) {
     SCOPED_TRACE("width " + std::to_string(width));
     const std::size_t stride = width + kExtraColumns;
@@ -211,8 +201,8 @@ TEST_P(SimplexPreservationTest, ApplyOAndApplyRStayOnSimplex) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   const std::size_t n = 4 + rng.UniformInt(8);
   const std::size_t m = 2 + rng.UniformInt(4);
-  const SparseTensor3 a = RandomTensor(n, m, 0.15, &rng);
-  const TransitionTensors t = TransitionTensors::Build(a.slices());
+  const std::vector<la::SparseMatrix> a = RandomSlices(n, m, 0.15, &rng);
+  const TransitionTensors t = TransitionTensors::Build(a);
   for (const std::size_t width : {1u, 3u}) {
     SCOPED_TRACE("width " + std::to_string(width));
     const std::size_t stride = width + kExtraColumns;
@@ -238,9 +228,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimplexPreservationTest,
                          ::testing::Range(100, 112));
 
 TEST(TransitionTensorsTest, DenseSliceMaterialization) {
-  const SparseTensor3 a = SparseTensor3::FromEntries(
-      2, 1, {{0, 1, 0, 2.0}, {1, 1, 0, 2.0}});
-  const TransitionTensors t = TransitionTensors::Build(a.slices());
+  const TransitionTensors t =
+      TransitionTensors::Build(Slices(2, {{{0, 1, 2.0}, {1, 1, 2.0}}}));
   const la::DenseMatrix o = t.DenseOSlice(0);
   // Column 0 dangling -> uniform; column 1 normalized (0.5, 0.5).
   EXPECT_DOUBLE_EQ(o.At(0, 0), 0.5);
@@ -252,16 +241,14 @@ TEST(TransitionTensorsTest, DenseSliceMaterialization) {
 }
 
 TEST(TransitionTensorsTest, RejectsNegativeTensor) {
-  const SparseTensor3 neg =
-      SparseTensor3::FromEntries(2, 1, {{0, 1, 0, -1.0}});
-  EXPECT_THROW(TransitionTensors::Build(neg.slices()), CheckError);
+  EXPECT_THROW(TransitionTensors::Build(Slices(2, {{{0, 1, -1.0}}})),
+               CheckError);
 }
 
 TEST(TransitionTensorsTest, WeightsInfluenceO) {
   // Column (j=0, k=0) has entries 1 and 3 -> probabilities 0.25 / 0.75.
-  const SparseTensor3 a = SparseTensor3::FromEntries(
-      2, 1, {{0, 0, 0, 1.0}, {1, 0, 0, 3.0}});
-  const TransitionTensors t = TransitionTensors::Build(a.slices());
+  const TransitionTensors t =
+      TransitionTensors::Build(Slices(2, {{{0, 0, 1.0}, {1, 0, 3.0}}}));
   EXPECT_DOUBLE_EQ(t.OEntry(0, 0, 0), 0.25);
   EXPECT_DOUBLE_EQ(t.OEntry(1, 0, 0), 0.75);
 }
